@@ -235,8 +235,8 @@ let aggregate ~top files =
 (* Trajectory check (--compare)                                        *)
 
 (* The regression ratchet: these recorded speedups may only go up.
-   Floors are vs-seed guarantees from the PRs that introduced them (the
-   adaptive planner and the gf backend), checked in CI against the
+   Floors are vs-seed guarantees from the changes that introduced them
+   (the planner and the gf backend), checked in CI against the
    committed BENCH_*.json trajectory. *)
 let ratchets =
   [

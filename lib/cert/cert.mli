@@ -5,8 +5,8 @@
 
     The flow mirrors PR 8's telemetry cards: with the recorder {e armed}
     (only under [--certify]), the drop sites of the pipeline — the DNF
-    feasibility filter, [Value.simplify], the adaptive subtree prune,
-    and the pre-filter's pin/branch/region refutations — push snapshots
+    feasibility filter, [Value.simplify], the engine's normalize-refuted
+    subtrees, and the pre-filter's pin/branch/region refutations — push snapshots
     of the clauses they discard; the generating-function backend pushes
     the clauses it counted. Recording is purely observational (the
     answer path never reads recorder state), so certified answers are
@@ -55,7 +55,7 @@ type site =
   | Dnf  (** the final feasibility filter of [Dnf.of_formula] *)
   | Gist  (** [Gist.remove_redundant] detected infeasibility *)
   | Simplify  (** [Value.simplify] dropped an infeasible piece guard *)
-  | Subtree  (** the engine's adaptive probe-refuted subtree prune *)
+  | Subtree  (** an engine recursion subtree whose clause normalizes to false *)
   | Region  (** a pre-filter real-shadow region refutation *)
   | Pin  (** a splinter pin skipped by the pre-filter's interval clamp *)
   | Branch  (** a projection branch pruned by the pre-filter *)

@@ -41,40 +41,30 @@ type strategy =
           emptiness guard of such a piece is the real-shadow
           approximation, as Section 4.2.2 permits *)
 
-(** Counting backend per disjoint clause. *)
+(** Counting backend per disjoint clause. Every backend runs under the
+    cost-model planner ({!Planner}: elimination order and heavy-first
+    pool scheduling) with the bounded feasibility pre-filter
+    ({!Omega.Prefilter}) armed; they differ only in which clauses go to
+    the generating-function counter. Answers are byte-identical across
+    backends, and plans are pure functions of each clause, hence
+    identical at every [--jobs] level. *)
 type backend =
-  | Pugh  (** the splintering summation engine (default) *)
+  | Pugh
+      (** the splintering summation engine for every clause — an
+          oracle-forcing switch for differential tests *)
   | Gf
       (** the generating-function (Barvinok) backend of {!Gfcount} for
           every clause it applies to — Exact strategy, constant summand,
           fully concrete, within its dimension caps — with per-clause
-          fallback to Pugh otherwise. Byte-identical output. *)
+          fallback to Pugh otherwise; the other oracle-forcing switch *)
   | Auto
-      (** per-clause choice: gfcount when the static
-          {!Gfcount.estimate_fanout} says the Pugh engine would splinter
-          (fan-out ≥ 2), Pugh otherwise. The estimate depends only on the
-          clause, so choices are identical at every [--jobs] level. *)
-
-(** Planning mode. *)
-type plan =
-  | Static  (** the fixed heuristics above, exactly as seeded (default) *)
-  | Adaptive
-      (** cost-model-driven planning ({!Planner}): per-clause backend
-          routing and elimination-order choice from static clause
-          features, heavy-clause-first pool scheduling, and the bounded
-          feasibility pre-filter ({!Omega.Prefilter}) armed for the whole
-          computation — clamping splinter-pin loops and pruning
-          provably-infeasible branches in {!Omega.Solve} and in the
-          engine recursion. Answers are byte-identical to [Static]
-          (adaptive choices are restricted to provably
-          rendering-invariant actions; see {!Planner}), and plans are
-          pure functions of each clause, hence identical at every
-          [--jobs] level. *)
+      (** the planner's routing (default): gfcount for collapse-safe
+          clauses whose predicted splinter fan-out is ≥ 2, Pugh
+          otherwise *)
 
 type options = {
   strategy : strategy;
   backend : backend;
-  plan : plan;
   flexible_order : bool;
       (** [false] forces the fixed (innermost-first) elimination order of
           Tawbi's algorithm — the ablation of Example 1. *)
@@ -97,9 +87,6 @@ val strategy_name : strategy -> string
 
 (** Stable lowercase name of a backend ([pugh] / [gf] / [auto]). *)
 val backend_name : backend -> string
-
-(** Stable lowercase name of a plan ([static] / [adaptive]). *)
-val plan_name : plan -> string
 
 (** Options as labelled string fields ([strategy], [flexible_order], …),
     the [options] block of the self-describing JSON reports. *)
@@ -171,9 +158,9 @@ val sum_clauses_governed :
   (Value.t, Obs.Budget.reason) result list
 
 (** [route_clause ?opts ~vars poly c] is the backend the per-clause
-    dispatch would choose for [c]: ["gf"] when the static rule or (under
-    [plan = Adaptive]) the planner routes it to the generating-function
-    backend, ["pugh"] otherwise. A pure function of the clause — the
+    dispatch would choose for [c]: ["gf"] when the backend (for [Auto],
+    the planner) routes it to the generating-function backend, ["pugh"]
+    otherwise. A pure function of the clause — the
     telemetry report card recomputes routing after the answer run
     instead of instrumenting the dispatch itself. *)
 val route_clause :

@@ -10,7 +10,8 @@
     generating function given by Brion's theorem is specialized at z = 1
     to produce the exact count.
 
-    Used by {!Engine} as the [Gf] backend and per-clause under [Auto];
+    Used by {!Engine} as the [Gf] backend and per-clause where the
+    planner routes under [Auto];
     also a third oracle for the differential test harness. *)
 
 (** [count_clause ~vars c] is [Some n] where [n] is the number of
@@ -31,6 +32,6 @@ val count_clause :
     fan-out the Pugh engine would pay on this clause: the capped product
     of non-unit summation-variable coefficients in the inequalities and
     stride moduli mentioning a summation variable. Deterministic in the
-    clause alone, so the [Auto] backend makes identical choices at every
-    [--jobs] level. *)
+    clause alone, so the planner makes identical routing choices at
+    every [--jobs] level. *)
 val estimate_fanout : Presburger.Var.t list -> Omega.Clause.t -> int

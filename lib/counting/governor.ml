@@ -80,11 +80,11 @@ let simplified vals =
 let sum ?(budget = unlimited) ?ctrl ?(opts = Engine.default) ?stats ~vars f
     poly =
   let ctrl = match ctrl with Some c -> c | None -> ctrl_of budget in
-  (* Under [opts.plan = Adaptive] the engine arms the feasibility
-     pre-filter inside [to_clauses] / [sum_clauses_governed]; every
-     probe charges this control block's fuel (one unit per probe plus
-     one per box-enumeration chunk), so adaptive planning is metered by
-     the same budget as the solver work it saves. *)
+  (* The feasibility pre-filter is armed (outside negations) in
+     [to_clauses] and [sum_clauses_governed]; every probe charges this
+     control block's fuel (one unit per probe plus one per
+     box-enumeration chunk), so pre-filter work is metered by the same
+     budget as the solver work it saves. *)
   let run =
     Obs.Budget.with_ctrl ctrl (fun () ->
         match Engine.to_clauses ~opts f with

@@ -72,8 +72,8 @@ val map_list_results :
     and the first failure re-raised — in {e input} order. Since only
     spawn order changes and [f] must be order-insensitive anyway under
     a work-stealing pool, determinism is exactly that of {!map_list}.
-    Used by the adaptive planner to schedule splinter-heavy clauses
-    first. *)
+    Used by the engine's clause fan-out, with the planner's weights,
+    to schedule splinter-heavy clauses first. *)
 val map_list_weighted : weight:('a -> int) -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {b Cancellation.} Every pool task polls

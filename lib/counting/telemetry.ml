@@ -90,7 +90,7 @@ let clause_infos ~opts ~vars ~summand cls =
         rows = d.Planner.rows;
         backend = Engine.route_clause ~opts ~vars summand c;
         predicted_fanout = d.Planner.predicted_fanout;
-        order = List.map V.to_string d.Planner.order;
+        order = List.map V.to_string (Planner.order c vs);
         weight = d.Planner.weight;
       })
     cls

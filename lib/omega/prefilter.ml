@@ -10,12 +10,12 @@ let verdict_name = function
   | Refuted -> "refuted"
   | Unknown -> "unknown"
 
-(* Domain-local, like [Obs.Budget.current]: each request arms the
-   pre-filter for its own plan, and pool worker domains observe the
-   submitting request's arming through the [Obs.Ambient] capture in
-   [Pool.spawn] — concurrent requests with different plans do not
-   disturb each other. *)
-let armed_flag : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+(* Armed by default. Domain-local, like [Obs.Budget.current], because
+   [Dnf] disarms it for negated subtrees: pool worker domains observe
+   the submitting task's arming through the [Obs.Ambient] capture in
+   [Pool.spawn], and a disarmed subtree on one domain never disarms a
+   concurrent request on another. *)
+let armed_flag : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref true)
 let armed () = !(Domain.DLS.get armed_flag)
 
 let with_armed b f =

@@ -38,13 +38,16 @@
     clause, independent of schedule, domain count, and memo state — the
     planner's requirement that plans be identical at every [--jobs].
 
-    {b Arming.} The filter is {e off} by default (seed behavior is
-    untouched); [Counting] arms it for the duration of a
-    [plan = Adaptive] computation via {!with_armed}. The flag is a
-    process-global atomic so pool worker domains observe it. Each probe
-    charges one {!Obs.Budget} fuel unit (plus one per enumeration
-    chunk), so governed budgets account pre-filter work like any other
-    solver step. *)
+    {b Arming.} The filter is armed by default. {!Dnf} disarms it with
+    {!with_armed} for [Not] and [Forall] subtrees, where dropping an
+    infeasible disjunct of the negand would change the complement's
+    syntax; the solver's elimination memo salts its key with the bit so
+    the two modes never share entries. The flag is domain-local and
+    carried to pool tasks by [Obs.Ambient], so a disarmed subtree never
+    affects a concurrent computation. Each probe charges one
+    {!Obs.Budget} fuel unit (plus one per enumeration chunk), so
+    governed budgets account pre-filter work like any other solver
+    step. *)
 
 type verdict = Feasible | Refuted | Unknown
 
@@ -52,7 +55,8 @@ val verdict_name : verdict -> string
 
 (** {1 Arming} *)
 
-(** Whether the pre-filter is armed (ambient, process-global). *)
+(** Whether the pre-filter is armed on the calling domain (default
+    [true]). *)
 val armed : unit -> bool
 
 (** [with_armed b f] runs [f] with the armed flag set to [b], restoring

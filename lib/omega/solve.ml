@@ -149,28 +149,24 @@ let eliminate_core mode v (c : Clause.t) : Clause.t list =
        so values outside it are skipped. Every skipped pin is a provably
        infeasible clause — exactly what downstream [is_feasible]
        filtering would drop — so armed output denotes the same set and
-       renders byte-identically after those filters (prefilter.mli). *)
-    let penv =
-      if Prefilter.armed () then Some (Prefilter.env_of_clause c) else None
-    in
+       renders byte-identically after those filters (prefilter.mli). The
+       environment is built on first use: exact-shadow eliminations and
+       the approximate modes never clamp. *)
+    let armed = Prefilter.armed () in
+    let penv = lazy (Prefilter.env_of_clause c) in
     let clamp lo hi aff =
-      match penv with
-      | None -> (lo, hi)
-      | Some env ->
-          let iv = Prefilter.affine_interval env aff in
-          ( (match iv.Prefilter.lo with
-            | Some l -> Zint.max lo l
-            | None -> lo),
-            match iv.Prefilter.hi with
-            | Some h -> Zint.min hi h
-            | None -> hi )
+      if not armed then (lo, hi)
+      else
+        let iv = Prefilter.affine_interval (Lazy.force penv) aff in
+        ( (match iv.Prefilter.lo with Some l -> Zint.max lo l | None -> lo),
+          match iv.Prefilter.hi with Some h -> Zint.min hi h | None -> hi )
     in
     let span lo hi =
       if Zint.compare lo hi > 0 then Zint.zero
       else Zint.succ (Zint.sub hi lo)
     in
     let note_pruned full kept =
-      if penv <> None then begin
+      if armed then begin
         let pruned = Zint.sub full kept in
         if Zint.sign pruned > 0 then
           Obs.Metrics.incr
@@ -184,7 +180,7 @@ let eliminate_core mode v (c : Clause.t) : Clause.t list =
        be skipped (the dark shadow emitted below is infeasible too and
        is dropped downstream like any pruned pin). *)
     let region_refuted () =
-      let r = penv <> None && Prefilter.probe real_clause = Prefilter.Refuted in
+      let r = armed && Prefilter.probe real_clause = Prefilter.Refuted in
       if r && Cert.armed () then
         Cert.record_refuted Cert.Region (Clause.snapshot c);
       r
@@ -567,20 +563,7 @@ let rec feasible steps (c : Clause.t) =
 and feasible_body steps (c : Clause.t) =
   match Clause.normalize c with
   | None -> false
-  | Some c -> begin
-      (* Armed runs try the bounded pre-filter first: a witness or a
-         refutation is exact, so the memoized result is the same
-         boolean the full recursion computes (the feasibility cache
-         needs no armed salt), just cheaper. *)
-      match
-        if Prefilter.armed () then Prefilter.probe c else Prefilter.Unknown
-      with
-      | Prefilter.Refuted -> false
-      | Prefilter.Feasible -> true
-      | Prefilter.Unknown -> feasible_search steps c
-    end
-
-and feasible_search steps (c : Clause.t) =
+  | Some c ->
       (* All variables are treated as existentially quantified. *)
       let all = Clause.all_vars c in
       if V.Set.is_empty all then true

@@ -7,7 +7,6 @@ type query_req = {
   at : (string * Zint.t) list;  (* sorted by name at parse time *)
   strategy : Counting.Engine.strategy;
   backend : Counting.Engine.backend;
-  plan : Counting.Engine.plan;
   merge : bool;
   budget : Counting.Governor.budget;
   certify : bool;
@@ -32,11 +31,6 @@ let backend_of = function
   | "gf" -> Ok Counting.Engine.Gf
   | "auto" -> Ok Counting.Engine.Auto
   | s -> Error (Printf.sprintf "unknown backend %S" s)
-
-let plan_of = function
-  | "static" -> Ok Counting.Engine.Static
-  | "adaptive" -> Ok Counting.Engine.Adaptive
-  | s -> Error (Printf.sprintf "unknown plan %S" s)
 
 let ( let* ) = Result.bind
 
@@ -86,8 +80,7 @@ let at_field obj =
 let parse_query_req obj =
   let* query = str_field obj "query" (fun s -> Ok s) in
   let* strategy = str_field obj "strategy" ~default:Counting.Engine.Exact strategy_of in
-  let* backend = str_field obj "backend" ~default:Counting.Engine.Pugh backend_of in
-  let* plan = str_field obj "plan" ~default:Counting.Engine.Static plan_of in
+  let* backend = str_field obj "backend" ~default:Counting.Engine.Auto backend_of in
   let* merge = bool_field obj "merge" ~default:true in
   let* certify = bool_field obj "certify" ~default:false in
   let* at = at_field obj in
@@ -101,7 +94,6 @@ let parse_query_req obj =
       at;
       strategy;
       backend;
-      plan;
       merge;
       budget =
         { Counting.Governor.deadline_ms; fuel; max_fanout; max_clauses };
@@ -134,7 +126,6 @@ let opts_of (q : query_req) =
     Counting.Engine.default with
     strategy = q.strategy;
     backend = q.backend;
-    plan = q.plan;
   }
 
 (* Stitch the echoed id into a rendered body: bodies are canonical

@@ -10,7 +10,6 @@ type query_req = {
   at : (string * Zint.t) list;  (** sorted by name at parse time *)
   strategy : Counting.Engine.strategy;
   backend : Counting.Engine.backend;
-  plan : Counting.Engine.plan;
   merge : bool;
   budget : Counting.Governor.budget;
   certify : bool;
@@ -24,7 +23,7 @@ type request = { id : Obs.Ojson.t; op : op }
     (when one could be recovered) for the [bad_request] response. *)
 val parse : string -> (request, Obs.Ojson.t * string) result
 
-(** Engine options implied by a request (strategy/backend/plan over
+(** Engine options implied by a request (strategy/backend over
     {!Counting.Engine.default}). *)
 val opts_of : query_req -> Counting.Engine.options
 

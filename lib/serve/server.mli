@@ -10,8 +10,9 @@
     v}
     Request fields: [op] (["count"] default, ["ping"], ["metrics"],
     ["shutdown"]), [query] (Preslang text), [at] (bindings object),
-    [strategy], [backend], [plan], [merge], [certify], [deadline_ms],
-    [fuel], [max_fanout], [max_clauses]. Response [status] is
+    [strategy], [backend], [merge], [certify], [deadline_ms], [fuel],
+    [max_fanout], [max_clauses]; unknown fields (such as the retired
+    [plan]) are ignored. Response [status] is
     ["complete"] / ["partial"] (bodies from {!Counting.Answer}, so
     bytes match [omcount --json]), ["shed"], ["error"] (with [class]:
     [parse_error] / [unbounded] / [omega_error] / [bad_request] /
