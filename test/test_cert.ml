@@ -72,11 +72,11 @@ let check_corpus_seed seed =
   let dense = seed >= 300 in
   let case = if dense then Td.gen_dense_case seed else Td.gen_case seed in
   let truth = truth_string (Td.brute case) in
-  (* Dense seeds route through Auto (their Pugh runs take tens of
-     seconds; the backend mix is what the family exists to stress). *)
-  let opts =
-    if dense then { E.default with backend = E.Auto } else E.default
-  in
+  (* Base seeds certify through the Pugh engine, so its drop paths keep
+     witness coverage; dense seeds take the default pipeline (they splinter
+     heavily under Pugh, and the planner's gf routing is what the family
+     exists to stress). *)
+  let opts = if dense then E.default else { E.default with backend = E.Pugh } in
   let _, cert =
     build_complete ~opts
       ~query:(Printf.sprintf "corpus %d" seed)

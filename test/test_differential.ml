@@ -173,7 +173,12 @@ let brute case =
   E.brute_sum ~vars:case.vars ~lo:box_lo ~hi:box_hi (env_fn case.env)
     case.formula Qpoly.one
 
-let engine_count ?(opts = E.default) case =
+(* Every oracle below except "auto" pins the Pugh splintering engine, so
+   it is checked against brute force directly and not only through the
+   default pipeline (which routes concrete, fan-out-heavy clauses to gf). *)
+let pugh = { E.default with backend = E.Pugh }
+
+let engine_count ?(opts = pugh) case =
   let value = E.count ~opts ~vars:case.vars case.formula in
   Counting.Value.eval (env_fn case.env) value
 
@@ -191,7 +196,7 @@ let check_case seed =
   Alcotest.check qnum (label "exact") truth (engine_count case);
   (* exact, memo off — base family only: memo behaviour does not depend
      on which counting backend produced the pieces, and a handful of
-     dense seeds (435 above all) take tens of seconds per Pugh run *)
+     dense seeds (435 above all) splinter heavily under Pugh *)
   if not dense then begin
     Omega.Memo.set_enabled false;
     Fun.protect
@@ -202,23 +207,23 @@ let check_case seed =
   (* third oracle: the generating-function backend (independently derived
      counter; falls back to Pugh per clause only where inapplicable, so
      on concrete seeds this exercises Barvinok decomposition end to
-     end), plus the Auto heuristic's per-clause mix *)
+     end), plus the default pipeline's per-clause mix (the planner
+     routes some clauses to gf and leaves the rest to Pugh) *)
   Alcotest.check qnum (label "gf") truth
     (engine_count ~opts:{ E.default with backend = E.Gf } case);
-  Alcotest.check qnum (label "auto") truth
-    (engine_count ~opts:{ E.default with backend = E.Auto } case);
+  Alcotest.check qnum (label "auto") truth (engine_count ~opts:E.default case);
   (* symbolic strategy agrees exactly (base family; on the fully concrete
      dense family Symbolic degenerates to Exact and only re-pays the
      splinter cost the gf oracle exists to avoid) *)
   if not dense then
     Alcotest.check qnum (label "symbolic") truth
-      (engine_count ~opts:{ E.default with strategy = E.Symbolic } case);
+      (engine_count ~opts:{ pugh with strategy = E.Symbolic } case);
   (* upper / lower bracket the truth (counts are nonnegative summands) *)
   let upper =
-    engine_count ~opts:{ E.default with strategy = E.Upper } case
+    engine_count ~opts:{ pugh with strategy = E.Upper } case
   in
   let lower =
-    engine_count ~opts:{ E.default with strategy = E.Lower } case
+    engine_count ~opts:{ pugh with strategy = E.Lower } case
   in
   if Qnum.compare upper truth < 0 then
     Alcotest.failf "%s: upper %s < truth %s" (label "upper")
@@ -238,7 +243,7 @@ let check_case seed =
               (fun strategy ->
                 let opts =
                   {
-                    E.default with
+                    pugh with
                     strategy;
                     flexible_order;
                     eliminate_redundant;
@@ -254,7 +259,7 @@ let check_case seed =
               engine_count
                 ~opts:
                   {
-                    E.default with
+                    pugh with
                     flexible_order;
                     eliminate_redundant;
                     disjoint = false;
