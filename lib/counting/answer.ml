@@ -5,19 +5,7 @@
    response frames and caches them verbatim. Any change here changes
    the published schema of both. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Ojson
 
 let env_of bindings name =
   match List.assoc_opt name bindings with
@@ -29,45 +17,35 @@ let eval_num bindings v =
   | q -> Qnum.to_zint q
   | exception Not_found -> None
 
+(* Evaluated counts are exact integer literals: a count past 2^53 is
+   common and must not round through a float. *)
+let eval_field name at v =
+  match eval_num at v with
+  | Some z -> [ (name, J.Lit (Zint.to_string z)) ]
+  | None -> []
+
+let value_json v = J.Str (Value.to_string v)
+
 let complete_json ~at value =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"status\":\"complete\",\"value\":\"%s\""
-       (json_escape (Value.to_string value)));
-  (match eval_num at value with
-  | Some z -> Buffer.add_string b (Printf.sprintf ",\"eval\":%s" (Zint.to_string z))
-  | None -> ());
-  Buffer.add_string b "}";
-  Buffer.contents b
+  J.render
+    (J.Obj
+       ([ ("status", J.Str "complete"); ("value", value_json value) ]
+       @ eval_field "eval" at value))
 
 let partial_json ~at (p : Governor.partial) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"status\":\"partial\",\"reason\":\"%s\",\"pieces_done\":%d,\"clauses_done\":%d,\"clauses_total\":%d"
-       (Governor.reason_name p.reason)
-       p.pieces_done p.clauses_done p.clauses_total);
-  Buffer.add_string b
-    (Printf.sprintf ",\"pieces\":\"%s\",\"lower\":\"%s\""
-       (json_escape (Value.to_string p.pieces))
-       (json_escape (Value.to_string p.lower)));
-  (match p.upper with
-  | Some u ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"upper\":\"%s\"" (json_escape (Value.to_string u)))
-  | None -> Buffer.add_string b ",\"upper\":null");
-  Buffer.add_string b ",\"bounds\":{";
-  let bounds = ref [] in
-  (match eval_num at p.lower with
-  | Some z -> bounds := Printf.sprintf "\"lower\":%s" (Zint.to_string z) :: !bounds
-  | None -> ());
-  (match p.upper with
-  | Some u -> (
-      match eval_num at u with
-      | Some z ->
-          bounds := Printf.sprintf "\"upper\":%s" (Zint.to_string z) :: !bounds
-      | None -> ())
-  | None -> ());
-  Buffer.add_string b (String.concat "," (List.rev !bounds));
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  J.render
+    (J.Obj
+       [
+         ("status", J.Str "partial");
+         ("reason", J.Str (Governor.reason_name p.reason));
+         ("pieces_done", J.int p.pieces_done);
+         ("clauses_done", J.int p.clauses_done);
+         ("clauses_total", J.int p.clauses_total);
+         ("pieces", value_json p.pieces);
+         ("lower", value_json p.lower);
+         ("upper", Option.fold ~none:J.Null ~some:value_json p.upper);
+         ( "bounds",
+           J.Obj
+             (eval_field "lower" at p.lower
+             @ Option.fold ~none:[] ~some:(eval_field "upper" at) p.upper) );
+       ])

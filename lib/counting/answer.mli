@@ -21,6 +21,3 @@ val complete_json : at:(string * Zint.t) list -> Value.t -> string
     degradation body: reason, progress counts, pieces/lower/upper
     values, and numeric bounds where evaluable. *)
 val partial_json : at:(string * Zint.t) list -> Governor.partial -> string
-
-(** JSON string-body escaping used by the renderers. *)
-val json_escape : string -> string

@@ -71,84 +71,32 @@ let collect ?(label = "run") ?(options = []) ?(counts = fun () -> []) f =
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Ojson
 
-let int_array_json a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
+let to_ojson r =
+  let section name f kvs = if kvs = [] then [] else [ (name, J.obj f kvs) ] in
+  J.Obj
+    ([ ("label", J.Str r.label); ("wall_s", J.fixed 6 r.wall_s) ]
+    @ section "options" (fun v -> J.Str v) r.options
+    @ [
+        ( "phases",
+          J.obj
+            (fun (s, n) ->
+              J.Obj [ ("seconds", J.fixed 6 s); ("entries", J.int n) ])
+            r.phases );
+        ("memo", J.obj J.int (Omega.Memo.counters_to_fields r.memo));
+        ( "gc",
+          J.Obj
+            [
+              ("minor_words", J.fixed 0 r.minor_words);
+              ("promoted_words", J.fixed 0 r.promoted_words);
+              ("major_words", J.fixed 0 r.major_words);
+            ] );
+      ]
+    @ section "engine" J.int r.counts
+    @ section "metrics" Obs.Metrics.sample_json r.metrics)
 
-let sample_json = function
-  | Obs.Metrics.Count n | Obs.Metrics.Level n -> string_of_int n
-  | Obs.Metrics.Hist h ->
-      Printf.sprintf "{\"buckets\":%s,\"counts\":%s,\"count\":%d,\"sum\":%d}"
-        (int_array_json h.bounds) (int_array_json h.counts) h.count h.sum
-
-let to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"label\":\"%s\",\"wall_s\":%.6f" (json_escape r.label)
-       r.wall_s);
-  if r.options <> [] then begin
-    Buffer.add_string b ",\"options\":{";
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape name) (json_escape v)))
-      r.options;
-    Buffer.add_string b "}"
-  end;
-  Buffer.add_string b ",\"phases\":{";
-  List.iteri
-    (fun i (name, (s, n)) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":{\"seconds\":%.6f,\"entries\":%d}"
-           (json_escape name) s n))
-    r.phases;
-  Buffer.add_string b "},\"memo\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" name v))
-    (Omega.Memo.counters_to_fields r.memo);
-  Buffer.add_string b "}";
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"gc\":{\"minor_words\":%.0f,\"promoted_words\":%.0f,\"major_words\":%.0f}"
-       r.minor_words r.promoted_words r.major_words);
-  if r.counts <> [] then begin
-    Buffer.add_string b ",\"engine\":{";
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-      r.counts;
-    Buffer.add_string b "}"
-  end;
-  if r.metrics <> [] then begin
-    Buffer.add_string b ",\"metrics\":{";
-    List.iteri
-      (fun i (name, s) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\":%s" (json_escape name) (sample_json s)))
-      r.metrics;
-    Buffer.add_string b "}"
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let to_json r = J.render (to_ojson r)
 
 let hit_rate hits queries =
   if queries = 0 then 0. else 100. *. float_of_int hits /. float_of_int queries
@@ -187,6 +135,7 @@ let pp fmt r =
       | Obs.Metrics.Hist h when h.count = 0 -> ()
       | Obs.Metrics.Hist h ->
           Format.fprintf fmt "  metric %-26s n=%d sum=%d %s@," name h.count
-            h.sum (int_array_json h.counts))
+            h.sum
+            (J.render (J.Arr (List.map J.int (Array.to_list h.counts)))))
     r.metrics;
   Format.fprintf fmt "@]"

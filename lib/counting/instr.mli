@@ -52,6 +52,9 @@ val collect :
     [{"label":…,"wall_s":…,"options":{…},"phases":{…},"memo":{…},"gc":{…},
       "engine":{…},"metrics":{…}}] — [options], [engine] and [metrics]
     are omitted when empty; all pre-existing fields are unchanged. *)
+val to_ojson : report -> Obs.Ojson.t
+
+(** [Obs.Ojson.render (to_ojson r)]. *)
 val to_json : report -> string
 
 val pp : Format.formatter -> report -> unit

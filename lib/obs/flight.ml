@@ -35,17 +35,12 @@ let clear () =
       Array.fill buf 0 capacity dummy;
       total := 0)
 
-let event_json e =
-  let b = Buffer.create 64 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"ts\":%.6f,\"name\":\"%s\",\"attrs\":{" e.ts
-       (Trace.json_escape e.name));
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":\"%s\"" (Trace.json_escape k)
-           (Trace.json_escape v)))
-    e.attrs;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+let to_ojson e =
+  Ojson.Obj
+    [
+      ("ts", Ojson.fixed 6 e.ts);
+      ("name", Ojson.Str e.name);
+      ("attrs", Ojson.obj (fun v -> Ojson.Str v) e.attrs);
+    ]
+
+let event_json e = Ojson.render (to_ojson e)

@@ -79,35 +79,20 @@ let set_sink oc = sink := oc
 
 let t0 = Unix.gettimeofday ()
 
-let value_json = Trace.(function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.6g" f
-      else "\"" ^ string_of_float f ^ "\""
-  | Str s -> "\"" ^ Trace.json_escape s ^ "\""
-  | Bool b -> string_of_bool b)
-
 let render ~n ~lvl ~dom ~fields text =
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"seq\":%d,\"ts\":%.6f,\"level\":\"%s\",\"dom\":%d,\"msg\":\"%s\""
-       n
-       (Unix.gettimeofday () -. t0)
-       (level_name lvl) dom
-       (Trace.json_escape text));
-  (match fields with
-  | [] -> ()
-  | fields ->
-      Buffer.add_string b ",\"fields\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%s" (Trace.json_escape k) (value_json v)))
-        fields;
-      Buffer.add_char b '}');
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Ojson.render
+    (Ojson.Obj
+       ([
+          ("seq", Ojson.int n);
+          ("ts", Ojson.fixed 6 (Unix.gettimeofday () -. t0));
+          ("level", Ojson.Str (level_name lvl));
+          ("dom", Ojson.int dom);
+          ("msg", Ojson.Str text);
+        ]
+       @
+       match fields with
+       | [] -> []
+       | fields -> [ ("fields", Ojson.obj Trace.value_json fields) ]))
 
 let msg lvl ?fields thunk =
   if severity lvl <= Atomic.get current then begin

@@ -119,6 +119,18 @@ type sample =
   | Level of int
   | Hist of { bounds : int array; counts : int array; count : int; sum : int }
 
+let sample_json = function
+  | Count n | Level n -> Ojson.int n
+  | Hist h ->
+      let ints a = Ojson.Arr (Array.to_list (Array.map Ojson.int a)) in
+      Ojson.Obj
+        [
+          ("buckets", ints h.bounds);
+          ("counts", ints h.counts);
+          ("count", Ojson.int h.count);
+          ("sum", Ojson.int h.sum);
+        ]
+
 let sample_of m =
   match m.kind with
   | Counter c -> Count (Atomic.get c.n)

@@ -49,6 +49,10 @@ type sample =
   | Level of int  (** gauge value; carried through [diff] unchanged *)
   | Hist of { bounds : int array; counts : int array; count : int; sum : int }
 
+(** One sample as JSON: a counter or gauge is its integer; a histogram
+    is [{"buckets":[…],"counts":[…],"count":n,"sum":s}]. *)
+val sample_json : sample -> Ojson.t
+
 (** All registered metrics with their current values, sorted by name. *)
 val snapshot : unit -> (string * sample) list
 

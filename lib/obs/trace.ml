@@ -292,69 +292,58 @@ let paired_events () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let value_json = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.6g" f
-      else "\"" ^ string_of_float f ^ "\""
-  | Str s -> "\"" ^ json_escape s ^ "\""
-  | Bool b -> string_of_bool b
+  | Int i -> Ojson.int i
+  | Float f when Float.is_finite f -> Ojson.Lit (Printf.sprintf "%.6g" f)
+  | Float f -> Ojson.Str (string_of_float f)
+  | Str s -> Ojson.Str s
+  | Bool b -> Ojson.Bool b
 
-let add_event b ~tid (e : event) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-       (json_escape e.name) e.ph e.ts_us tid);
-  if e.ph = 'i' then Buffer.add_string b ",\"s\":\"t\"";
-  (match e.attrs with
-  | [] -> ()
-  | attrs ->
-      Buffer.add_string b ",\"args\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%s" (json_escape k) (value_json v)))
-        attrs;
-      Buffer.add_char b '}');
-  Buffer.add_char b '}'
+let event_json ~tid (e : event) =
+  let args =
+    match e.attrs with
+    | [] -> []
+    | attrs -> [ ("args", Ojson.obj value_json attrs) ]
+  in
+  Ojson.Obj
+    ([
+       ("name", Ojson.Str e.name);
+       ("ph", Ojson.Str (String.make 1 e.ph));
+       ("ts", Ojson.fixed 3 e.ts_us);
+       ("pid", Ojson.int 1);
+       ("tid", Ojson.int tid);
+     ]
+    @ (if e.ph = 'i' then [ ("s", Ojson.Str "t") ] else [])
+    @ args)
+
+let metadata ~name ~tid value =
+  Ojson.Obj
+    [
+      ("name", Ojson.Str name);
+      ("ph", Ojson.Str "M");
+      ("pid", Ojson.int 1);
+      ("tid", Ojson.int tid);
+      ("args", Ojson.Obj [ ("name", Ojson.Str value) ]);
+    ]
 
 let to_chrome_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  Buffer.add_string b
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"omegacount\"}}";
-  List.iter
-    (fun r ->
-      Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-           r.tid r.tid);
-      List.iter
-        (fun e ->
-          Buffer.add_char b ',';
-          add_event b ~tid:r.tid e)
-        (repair_ring (ring_events r)))
-    (live_rings ());
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":%d}}"
-       (dropped ()));
-  Buffer.contents b
+  let events =
+    metadata ~name:"process_name" ~tid:1 "omegacount"
+    :: List.concat_map
+         (fun r ->
+           metadata ~name:"thread_name" ~tid:r.tid
+             (Printf.sprintf "domain %d" r.tid)
+           :: List.map (event_json ~tid:r.tid) (repair_ring (ring_events r)))
+         (live_rings ())
+  in
+  Ojson.render
+    (Ojson.Obj
+       [
+         ("traceEvents", Ojson.Arr events);
+         ("displayTimeUnit", Ojson.Str "ms");
+         ( "otherData",
+           Ojson.Obj [ ("dropped_events", Ojson.int (dropped ())) ] );
+       ])
 
 let write_chrome oc = output_string oc (to_chrome_json ())
 

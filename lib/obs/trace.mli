@@ -113,6 +113,6 @@ val write_chrome : out_channel -> unit
     a hit count; siblings sorted by self time, descending. *)
 val pp_profile : Format.formatter -> unit -> unit
 
-(** JSON string-body escaping shared by the observability emitters
-    ({!Log}, [Counting.Instr], the CLIs). *)
-val json_escape : string -> string
+(** An attribute value as JSON, shared with {!Log}: floats print
+    ["%.6g"], and a non-finite float is quoted (["\"inf\""]). *)
+val value_json : value -> Ojson.t
