@@ -522,8 +522,8 @@ let comb_json c =
     (List.map
        (fun (r, z) ->
          match r with
-         | Req i -> J.Arr [ J.Str "eq"; J.Num (float_of_int i); zstr z ]
-         | Rgeq i -> J.Arr [ J.Str "geq"; J.Num (float_of_int i); zstr z ])
+         | Req i -> J.Arr [ J.Str "eq"; J.int i; zstr z ]
+         | Rgeq i -> J.Arr [ J.Str "geq"; J.int i; zstr z ])
        c)
 
 let rec witness_json = function
@@ -533,14 +533,14 @@ let rec witness_json = function
         [
           ("kind", J.Str "stride_gap");
           ("row", J.Str "eq");
-          ("idx", J.Num (float_of_int i));
+          ("idx", J.int i);
         ]
   | Stride_gap (`Stride i) ->
       J.Obj
         [
           ("kind", J.Str "stride_gap");
           ("row", J.Str "stride");
-          ("idx", J.Num (float_of_int i));
+          ("idx", J.int i);
         ]
   | Enum { var; lo; hi; lo_comb; hi_comb; cases } ->
       J.Obj
