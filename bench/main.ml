@@ -608,8 +608,8 @@ let fingerprint_of label =
     (List.assoc_opt label fingerprinted)
 
 (* `--certify FILE`: one certificate line per fingerprinted formula,
-   produced by a separate untimed pass (recording armed around a fresh
-   cold-cache engine run), so the timed experiments above are never
+   produced by a separate untimed pass (a cold-cache run of the shared
+   query runner), so the timed experiments above are never
    perturbed. CI replays the file with omcheck. Each certificate carries
    one evaluation point (the same points the reproduction check uses)
    so the checker re-derives a concrete count, not just the pieces. *)
@@ -623,23 +623,26 @@ let certify_ats label =
 
 let certify_report file =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+  (* untimed, so off the card stream: the sink holds only the timed
+     experiments' cards *)
+  let sink = Counting.Telemetry.file () in
+  Counting.Telemetry.set_file None;
   Fun.protect
-    ~finally:(fun () -> close_out oc)
+    ~finally:(fun () ->
+      close_out oc;
+      Counting.Telemetry.set_file sink)
     (fun () ->
       List.iter
         (fun (label, (vars, formula)) ->
           Omega.Memo.clear_all ();
-          let value, events, dropped =
-            Counting.Certify.with_recording (fun () ->
-                E.sum ~opts:E.default ~vars formula Qpoly.one)
+          let r =
+            Counting.Query.run ~label ~opts:E.default
+              ~budget:Counting.Governor.unlimited ~merge:false ~certify:true
+              ~instr:false ~evals:(certify_ats label) ~at:[] ~source:label
+              ~vars ~summand:Qpoly.one formula
           in
-          let cert =
-            Counting.Certify.build ~opts:E.default ~vars ~summand:Qpoly.one
-              ~query:label ~ats:(certify_ats label)
-              ~outcome:(Counting.Certify.Complete value)
-              ~events ~dropped formula
-          in
-          output_string oc (Obs.Ojson.render cert);
+          output_string oc
+            (Obs.Ojson.render (Option.get r.Counting.Query.certificate));
           output_char oc '\n')
         fingerprinted)
 

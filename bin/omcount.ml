@@ -85,6 +85,14 @@ let print_explain_observed before =
       | _ -> ())
     explain_keys
 
+let append_line path line =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc line;
+      output_char oc '\n')
+
 let run query bindings strategy backend explain_plan merge stats ~budget ~json
     ~certify =
   let q = Preslang.parse_query query in
@@ -101,88 +109,6 @@ let run query bindings strategy backend explain_plan merge stats ~budget ~json
   Counting.Telemetry.set_context
     (("query", "omcount") :: ("fingerprint", fingerprint)
     :: Counting.Engine.opts_fields opts);
-  let governed = json || not (Counting.Governor.is_unlimited budget) in
-  let merged v = if merge then Counting.Merge.merge_residues v else v in
-  (* A report is collected whenever anything consumes it: --stats, an
-     enabled telemetry sink, or a post-mortem directory (so bundles can
-     embed the card). The answer path is identical either way. *)
-  let want_report =
-    stats
-    || Counting.Telemetry.enabled ()
-    || Counting.Telemetry.postmortem_dir () <> None
-  in
-  let meta =
-    Counting.Engine.opts_fields opts @ [ ("fingerprint", fingerprint) ]
-  in
-  let collect compute =
-    if want_report then begin
-      let x, report =
-        Counting.Engine.with_instr ~label:"omcount" ~meta compute
-      in
-      (x, Some report)
-    end
-    else (compute (), None)
-  in
-  (* Assemble and emit the report card, hand it to any pending
-     post-mortem bundle, and log the outcome. Runs after the answer has
-     been computed (and under no budget), so it cannot affect it. *)
-  let emit_card ~outcome report =
-    (match report with
-    | Some r
-      when Counting.Telemetry.enabled ()
-           || Counting.Telemetry.pending_postmortem () <> None ->
-        let card =
-          Counting.Telemetry.build ~label:"omcount" ~opts
-            ~vars:q.Preslang.vars ~summand:q.Preslang.summand ~outcome
-            ~report:r q.Preslang.formula
-        in
-        Counting.Telemetry.record card;
-        Counting.Telemetry.flush_postmortem ~card ()
-    | _ -> Counting.Telemetry.flush_postmortem ());
-    Obs.Log.info
-      ~fields:(fun () ->
-        [
-          ("fingerprint", Obs.Trace.Str fingerprint);
-          ( "status",
-            Obs.Trace.Str (Counting.Telemetry.outcome_status outcome) );
-        ])
-      (fun () -> "query done")
-  in
-  (* --certify: arm the certificate recorder around the computation
-     (observational: the answer path never reads recorder state, so
-     certified answers are byte-identical), then assemble the
-     certificate after the answer is out and append it as one JSONL
-     line. Mirrors the telemetry-card flow. *)
-  let cert_recorded = ref None in
-  let with_cert compute =
-    match certify with
-    | None -> compute
-    | Some _ ->
-        fun () ->
-          let x, events, dropped = Counting.Certify.with_recording compute in
-          cert_recorded := Some (events, dropped);
-          x
-  in
-  let emit_cert outcome =
-    match certify with
-    | None -> ()
-    | Some path ->
-        let events, dropped =
-          match !cert_recorded with Some e -> e | None -> ([], 0)
-        in
-        let cert =
-          Counting.Certify.build ~opts ~vars:q.Preslang.vars
-            ~summand:q.Preslang.summand ~query
-            ~ats:(if bindings = [] then [] else [ bindings ])
-            ~outcome ~events ~dropped q.Preslang.formula
-        in
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (Obs.Ojson.render cert);
-            output_char oc '\n')
-  in
   let explain_before =
     if explain_plan then begin
       (* One extra DNF pass to show the plan up front; the clauses are
@@ -194,73 +120,62 @@ let run query bindings strategy backend explain_plan merge stats ~budget ~json
     end
     else None
   in
-  let finish_explain () = Option.iter print_explain_observed explain_before in
-  if not governed then begin
-    (* The ungoverned path is exactly the pre-governor pipeline, so
-       default invocations stay byte-identical. *)
-    let compute () =
-      merged
-        (Counting.Engine.sum ~opts ~vars:q.Preslang.vars q.Preslang.formula
-           q.Preslang.summand)
-    in
-    let value, report = collect (with_cert compute) in
-    Printf.printf "%s\n" (Counting.Value.to_string value);
-    print_eval_at bindings value;
-    finish_explain ();
-    emit_cert (Counting.Certify.Complete value);
-    emit_card ~outcome:Counting.Telemetry.Complete report;
-    print_report (if stats then report else None)
-  end
-  else begin
-    let compute () =
-      Counting.Governor.sum ~budget ~opts ~vars:q.Preslang.vars
-        q.Preslang.formula q.Preslang.summand
-    in
-    let outcome, report = collect (with_cert compute) in
-    match outcome with
-    | Counting.Governor.Complete value ->
-        let value = merged value in
-        if json then json_complete bindings value
-        else begin
-          Printf.printf "%s\n" (Counting.Value.to_string value);
-          print_eval_at bindings value
-        end;
-        finish_explain ();
-        emit_cert (Counting.Certify.Complete value);
-        emit_card ~outcome:Counting.Telemetry.Complete report;
-        print_report (if stats then report else None)
-    | Counting.Governor.Partial p ->
-        let p =
-          {
-            p with
-            Counting.Governor.pieces = merged p.Counting.Governor.pieces;
-            lower = merged p.Counting.Governor.lower;
-            upper = Option.map merged p.Counting.Governor.upper;
-          }
-        in
-        if json then json_partial bindings p
-        else begin
-          Printf.printf "%s\n" (Counting.Value.to_string p.pieces);
-          Printf.eprintf
-            "omcount: partial result (budget exhausted: %s): %d of %d \
-             clauses done; lower bound %s; upper bound %s\n"
-            (Counting.Governor.reason_name p.reason)
-            p.clauses_done p.clauses_total
-            (Counting.Value.to_string p.lower)
-            (match p.upper with
-            | Some u -> Counting.Value.to_string u
-            | None -> "unknown")
-        end;
-        finish_explain ();
-        emit_cert (Counting.Certify.Partial p);
-        emit_card
-          ~outcome:
-            (Counting.Telemetry.Partial
-               (Counting.Governor.reason_name p.reason))
-          report;
-        print_report (if stats then report else None);
-        exit 3
-  end
+  let r =
+    Counting.Query.run ~label:"omcount" ~opts ~budget ~merge
+      ~certify:(certify <> None)
+      (* A report is collected whenever anything consumes it: --stats,
+         an enabled telemetry sink, or a post-mortem directory (so
+         bundles can embed the card). The answer is identical either
+         way. *)
+      ~instr:
+        (stats
+        || Counting.Telemetry.enabled ()
+        || Counting.Telemetry.postmortem_dir () <> None)
+      ~at:bindings ~source:query ~vars:q.Preslang.vars
+      ~summand:q.Preslang.summand q.Preslang.formula
+  in
+  (match (certify, r.certificate) with
+  | Some path, Some cert -> append_line path (Obs.Ojson.render cert)
+  | _ -> ());
+  let finish () =
+    Option.iter print_explain_observed explain_before;
+    Obs.Log.info
+      ~fields:(fun () ->
+        [
+          ("fingerprint", Obs.Trace.Str fingerprint);
+          ( "status",
+            Obs.Trace.Str
+              (match r.outcome with
+              | Counting.Governor.Complete _ -> "complete"
+              | Counting.Governor.Partial _ -> "partial") );
+        ])
+      (fun () -> "query done");
+    print_report (if stats then r.report else None)
+  in
+  match r.outcome with
+  | Counting.Governor.Complete value ->
+      if json then json_complete bindings value
+      else begin
+        Printf.printf "%s\n" (Counting.Value.to_string value);
+        print_eval_at bindings value
+      end;
+      finish ()
+  | Counting.Governor.Partial p ->
+      if json then json_partial bindings p
+      else begin
+        Printf.printf "%s\n" (Counting.Value.to_string p.pieces);
+        Printf.eprintf
+          "omcount: partial result (budget exhausted: %s): %d of %d \
+           clauses done; lower bound %s; upper bound %s\n"
+          (Counting.Governor.reason_name p.reason)
+          p.clauses_done p.clauses_total
+          (Counting.Value.to_string p.lower)
+          (match p.upper with
+          | Some u -> Counting.Value.to_string u
+          | None -> "unknown")
+      end;
+      finish ();
+      exit 3
 
 (* --simplify: print the disjoint DNF of a bare formula — the Omega
    test's Section 2.6 capability, exposed directly. *)
@@ -492,14 +407,11 @@ let () =
       | Counting.Engine.Unbounded msg ->
           Printf.eprintf "unbounded summation: %s\n" msg;
           exit 1
+      (* the query runner has already logged, carded and bundled these *)
       | Omega.Error.Omega_error { phase; what; context } ->
           Printf.eprintf "omcount: %s\n"
             (Omega.Error.to_string ~phase ~what context);
-          Obs.Log.error (fun () ->
-              Omega.Error.to_string ~phase ~what context);
-          Counting.Telemetry.write_postmortem ~trigger:"omega_error" ();
           exit 1
       | Failure msg ->
           Printf.eprintf "omcount: %s\n" msg;
-          Obs.Log.error (fun () -> msg);
           exit 1)

@@ -4,7 +4,9 @@ module J = Obs.Ojson
 
 let with_recording = Cert.with_recording
 
-type outcome = Complete of Value.t | Partial of Governor.partial
+type outcome = Governor.outcome =
+  | Complete of Value.t
+  | Partial of Governor.partial
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: values.                                              *)

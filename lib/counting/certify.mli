@@ -26,7 +26,11 @@
     dependency. *)
 val with_recording : (unit -> 'a) -> 'a * Cert.event list * int
 
-type outcome = Complete of Value.t | Partial of Governor.partial
+(** {!Governor.outcome}: a certificate states what the governed run
+    returned. *)
+type outcome = Governor.outcome =
+  | Complete of Value.t
+  | Partial of Governor.partial
 
 (** [build ~opts ~vars ~summand ~query ~ats ~outcome ~events ~dropped f]
     assembles the certificate. [ats] are evaluation environments; a

@@ -585,8 +585,7 @@ let use_gf opts (d : Planner.decision) =
   | Gf -> opts.strategy = Exact
   | Auto -> d.use_gf
 
-let run_clause opts stats vs poly c =
-  let d = clause_plan opts vs poly c in
+let run_clause opts (d : Planner.decision) stats vs poly c =
   if d.adaptive_order then Planner.note_adaptive ();
   let fallback () = go opts d.adaptive_order stats vs poly c 0 in
   if use_gf opts d then begin
@@ -623,7 +622,7 @@ let route_clause ?(opts = default) ~vars poly c =
    clause_us histogram. On a pool worker the span lands in that
    worker's ring; the export merges rings, so the per-clause spans
    survive parallel runs. *)
-let clause_task opts vs poly i c st =
+let clause_task opts vs poly (i, c, d) =
   Obs.Trace.span "clause"
     ~attrs:(fun () ->
       [
@@ -632,77 +631,44 @@ let clause_task opts vs poly i c st =
         ("vars", Obs.Trace.Int (List.length vs));
       ])
     (fun () ->
+      let st = new_stats () in
       let t0 = Unix.gettimeofday () in
-      let r = run_clause opts st vs poly c in
+      let r = run_clause opts d st vs poly c in
       let us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
       Obs.Metrics.observe m_clause_us us;
       Obs.Trace.add_attr "pieces" (Obs.Trace.Int (List.length r));
-      r)
+      (r, st))
 
-let sum_clauses ?(opts = default) ?stats ~vars cls poly =
+(* The clause fan-out: one pool task per disjunct, each planned once —
+   the plan is both its heavy-first spawn weight and its routing — with
+   a private stats record absorbed after the join. Outcomes come back
+   in clause order, so concatenating the completed ones is the
+   deterministic merge at every jobs level. *)
+let clause_sums ?(opts = default) ?stats ~vars cls poly =
   let stats = resolve_stats stats in
   let vs = List.map V.named vars in
   stats.dnf_clauses <- stats.dnf_clauses + List.length cls;
   Obs.Metrics.observe m_dnf_clauses (List.length cls);
-  let pieces =
-    Instr.time_phase "sum" (fun () ->
-        if Pool.parallel_enabled () && List.length cls > 1 then begin
-          (* Clause-level fan-out: one pool task per disjunct, private
-             stats records, results concatenated in original clause
-             order — the deterministic merge. The planner's per-clause
-             weight picks a heavy-first spawn order. *)
-          let task (i, c) =
-            let st = new_stats () in
-            let r = clause_task opts vs poly i c st in
-            (r, st)
-          in
-          let results =
-            Pool.map_list_weighted
-              ~weight:(fun (_, c) -> (clause_plan opts vs poly c).weight)
-              task
-              (List.mapi (fun i c -> (i, c)) cls)
-          in
-          List.iter (fun (_, st) -> absorb_stats stats st) results;
-          Merge.combine (List.map fst results)
-        end
-        else if Obs.Trace.enabled () then
-          Merge.combine
-            (List.mapi (fun i c -> clause_task opts vs poly i c stats) cls)
-        else
-          (* The untraced serial path stays a plain concat_map so
-             disabled tracing allocates nothing extra. *)
-          List.concat_map (fun c -> run_clause opts stats vs poly c) cls)
-  in
-  Instr.time_phase "simplify" (fun () -> Value.simplify pieces)
-
-let sum_clauses_governed ?(opts = default) ?stats ~vars cls poly =
-  let stats = resolve_stats stats in
-  let vs = List.map V.named vars in
-  stats.dnf_clauses <- stats.dnf_clauses + List.length cls;
-  Obs.Metrics.observe m_dnf_clauses (List.length cls);
+  let planned = List.mapi (fun i c -> (i, c, clause_plan opts vs poly c)) cls in
   Instr.time_phase "sum" (fun () ->
-      (* Same fan-out as [sum_clauses], but each clause absorbs its own
-         budget exhaustion: the per-clause results come back in input
-         order as [Ok pieces] / [Error reason], so a caller can assemble
-         a partial answer from whatever completed. Non-budget exceptions
-         (a genuine bug, [Unbounded], …) still propagate. Pre-filter
-         probes charge the ambient budget like any solver step. *)
-      let results =
-        Pool.map_list_results
-          (fun (i, c) ->
-            let st = new_stats () in
-            let r = clause_task opts vs poly i c st in
-            (r, st))
-          (List.mapi (fun i c -> (i, c)) cls)
-      in
-      List.map
-        (function
-          | Ok (r, st) ->
-              absorb_stats stats st;
-              Ok r
-          | Error (Obs.Budget.Exhausted reason, _) -> Error reason
-          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-        results)
+      Pool.map_results
+        ~weight:(fun (_, _, (d : Planner.decision)) -> d.weight)
+        (clause_task opts vs poly) planned)
+  |> List.map (function
+       | Ok (r, st) ->
+           absorb_stats stats st;
+           Ok r
+       | Error _ as e -> e)
+
+let simplify_clauses vals =
+  Instr.time_phase "simplify" (fun () -> Value.simplify (Merge.combine vals))
+
+let sum_clauses ?opts ?stats ~vars cls poly =
+  clause_sums ?opts ?stats ~vars cls poly
+  |> List.map (function
+       | Ok r -> r
+       | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+  |> simplify_clauses
 
 let to_clauses ?(opts = default) f =
   (* Section 4.6: when only bounds are wanted, the Omega test may

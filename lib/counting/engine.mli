@@ -127,7 +127,9 @@ val count :
   Value.t
 
 (** [sum_clauses] runs the per-clause engine on an explicit clause list
-    (used by the FST91 baseline and by callers that already have DNF). *)
+    (used by the FST91 baseline and by callers that already have DNF):
+    {!clause_sums}, then the first failure in clause order re-raised
+    with its original backtrace, then {!simplify_clauses}. *)
 val sum_clauses :
   ?opts:options ->
   ?stats:stats ->
@@ -142,20 +144,26 @@ val sum_clauses :
     dark-shadow for [Lower]. Runs under the ["dnf"] phase timer. *)
 val to_clauses : ?opts:options -> Presburger.Formula.t -> Omega.Clause.t list
 
-(** [sum_clauses_governed] is {!sum_clauses} for budgeted runs: the same
-    clause fan-out, but each clause that runs out of budget yields
-    [Error reason] instead of unwinding the whole computation, so the
-    caller ([Counting.Governor]) can assemble a partial answer from the
-    clauses that completed. Results come back in clause order and are
-    {e not} merged or simplified ([Ok v] is the clause's raw piece
-    list). Exceptions other than budget exhaustion propagate as usual. *)
-val sum_clauses_governed :
+(** [clause_sums] is the engine's one clause fan-out: every clause is
+    planned once (the plan gives both its routing and its heavy-first
+    spawn weight) and summed as its own pool task, under a ["clause"]
+    span that feeds the [engine.clause_us] histogram. Outcomes come back
+    in clause order, unmerged: [Ok v] is the clause's raw piece list,
+    [Error (exn, backtrace)] a clause that raised — budget exhaustion
+    included, so [Counting.Governor] can assemble a partial answer from
+    the clauses that completed. Runs under the ["sum"] phase timer. *)
+val clause_sums :
   ?opts:options ->
   ?stats:stats ->
   vars:string list ->
   Omega.Clause.t list ->
   Qpoly.t ->
-  (Value.t, Obs.Budget.reason) result list
+  (Value.t, exn * Printexc.raw_backtrace) result list
+
+(** [simplify_clauses vals] concatenates per-clause piece lists in
+    order and simplifies them under the ["simplify"] phase timer — the
+    step that turns {!clause_sums} into the answer {!sum} returns. *)
+val simplify_clauses : Value.t list -> Value.t
 
 (** [route_clause ?opts ~vars poly c] is the backend the per-clause
     dispatch would choose for [c]: ["gf"] when the backend (for [Auto],

@@ -14,10 +14,6 @@ type budget = {
 let unlimited =
   { deadline_ms = None; fuel = None; max_fanout = None; max_clauses = None }
 
-let is_unlimited b =
-  b.deadline_ms = None && b.fuel = None && b.max_fanout = None
-  && b.max_clauses = None
-
 type reason = Obs.Budget.reason =
   | Deadline
   | Fuel
@@ -74,14 +70,11 @@ let sound_lower (opts : Engine.options) =
      | Engine.Exact | Engine.Lower -> true
      | Engine.Upper | Engine.Symbolic -> false
 
-let simplified vals =
-  Instr.time_phase "simplify" (fun () -> Value.simplify (Merge.combine vals))
-
 let sum ?(budget = unlimited) ?ctrl ?(opts = Engine.default) ?stats ~vars f
     poly =
   let ctrl = match ctrl with Some c -> c | None -> ctrl_of budget in
   (* The feasibility pre-filter is armed (outside negations) in
-     [to_clauses] and [sum_clauses_governed]; every probe charges this
+     [to_clauses] and [clause_sums]; every probe charges this
      control block's fuel (one unit per probe plus one per
      box-enumeration chunk), so pre-filter work is metered by the same
      budget as the solver work it saves. *)
@@ -89,8 +82,20 @@ let sum ?(budget = unlimited) ?ctrl ?(opts = Engine.default) ?stats ~vars f
     Obs.Budget.with_ctrl ctrl (fun () ->
         match Engine.to_clauses ~opts f with
         | cls -> (
-            match Engine.sum_clauses_governed ~opts ?stats ~vars cls poly with
-            | per -> `Clauses (List.length cls, per)
+            match Engine.clause_sums ~opts ?stats ~vars cls poly with
+            | per ->
+                (* A clause that ran out of budget is a hole in the
+                   partial answer; any other failure ([Unbounded], a
+                   bug, …) is the query's, re-raised first in clause
+                   order. *)
+                `Clauses
+                  ( List.length cls,
+                    List.map
+                      (function
+                        | Ok v -> Ok v
+                        | Error (Obs.Budget.Exhausted r, _) -> Error r
+                        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+                      per )
             | exception Obs.Budget.Exhausted r -> `Tripped r)
         | exception Obs.Budget.Exhausted r -> `Tripped r)
   in
@@ -98,7 +103,7 @@ let sum ?(budget = unlimited) ?ctrl ?(opts = Engine.default) ?stats ~vars f
      and the shadow run must not be cut short by the already-tripped
      budget. *)
   let mk_partial ~clauses_done ~clauses_total ~reason vals =
-    let pieces = simplified vals in
+    let pieces = Engine.simplify_clauses vals in
     Obs.Log.warn
       ~fields:(fun () ->
         [
@@ -123,7 +128,7 @@ let sum ?(budget = unlimited) ?ctrl ?(opts = Engine.default) ?stats ~vars f
   in
   match run with
   | `Clauses (_, per) when List.for_all Result.is_ok per ->
-      Complete (simplified (List.filter_map Result.to_option per))
+      Complete (Engine.simplify_clauses (List.filter_map Result.to_option per))
   | `Clauses (total, per) ->
       let vals = List.filter_map Result.to_option per in
       let reason =

@@ -47,8 +47,6 @@ type budget = {
     injection stay observable. *)
 val unlimited : budget
 
-val is_unlimited : budget -> bool
-
 (** Re-export of [Obs.Budget.reason] for callers' convenience. *)
 type reason = Obs.Budget.reason =
   | Deadline

@@ -20,7 +20,7 @@
    graph is a tree, and a joiner always has a productive step or a
    producer to wait on.
 
-   Determinism: the pool never reorders results — [map_list] returns
+   Determinism: the pool never reorders results — [map_results] returns
    results in input order, and the engine's reduction concatenates them
    in that order. Scheduling affects only which domain computes a task,
    and every task is a pure function of its inputs. *)
@@ -320,7 +320,12 @@ let join_all futs =
       | exception e -> Error (e, Printexc.get_raw_backtrace ()))
     futs
 
-let map_list_results f xs =
+(* The one fan-out primitive. Items are spawned heaviest first (a
+   classic makespan heuristic: a predicted straggler should not start
+   last; ties keep input order) and joined in input order, so results —
+   and which failure a caller re-raises — never depend on [weight] or on
+   the schedule. Serial when the pool is disabled. *)
+let map_results ?(weight = fun _ -> 0) f xs =
   match xs with
   | [] -> []
   | _ when not (parallel_enabled ()) ->
@@ -330,52 +335,19 @@ let map_list_results f xs =
           | v -> Ok v
           | exception e -> Error (e, Printexc.get_raw_backtrace ()))
         xs
-  | _ -> join_all (List.map (fun x -> spawn (fun () -> f x)) xs)
-
-let map_list f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when not (parallel_enabled ()) -> List.map f xs
   | _ ->
-      let results = join_all (List.map (fun x -> spawn (fun () -> f x)) xs) in
-      (* Re-raise the first failure in input order (deterministic no
-         matter which domain hit it first), with its original
-         backtrace. *)
-      List.map
-        (function
-          | Ok v -> v
-          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-        results
-
-let map_list_weighted ~weight f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when not (parallel_enabled ()) -> List.map f xs
-  | _ ->
-      (* Longest-task-first spawn order (a classic makespan heuristic):
-         heavy items hit the queues first so a straggler does not start
-         last. Only the {e submission} order changes — futures are
-         re-sorted to input order before joining, so results, and the
-         choice of which failure is re-raised, are exactly those of
-         [map_list]. *)
       let items = List.mapi (fun i x -> (i, weight x, x)) xs in
       let by_weight =
-        List.stable_sort
-          (fun (i1, w1, _) (i2, w2, _) ->
-            if w1 <> w2 then compare w2 w1 else compare i1 i2)
-          items
+        List.stable_sort (fun (_, w1, _) (_, w2, _) -> compare w2 w1) items
       in
       let futs =
         List.map (fun (i, _, x) -> (i, spawn (fun () -> f x))) by_weight
       in
-      let in_order =
-        List.stable_sort (fun (i1, _) (i2, _) -> compare i1 i2) futs
-      in
-      let results = join_all (List.map snd in_order) in
-      List.map
-        (function
-          | Ok v -> v
-          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-        results
+      join_all
+        (List.map snd
+           (List.stable_sort (fun (i1, _) (i2, _) -> compare i1 i2) futs))
+
+let map_list f xs =
+  List.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (map_results f xs)

@@ -7,7 +7,7 @@
     clauses or splinter branches — so queue traffic is negligible next
     to task work.
 
-    {b Determinism.} The pool never reorders results: {!map_list}
+    {b Determinism.} The pool never reorders results: {!map_results}
     returns results in input order, tasks are pure functions of their
     inputs, and the engine concatenates per-task pieces in original
     index order, so parallel output is byte-identical to serial output.
@@ -46,35 +46,31 @@ val spawn : (unit -> 'a) -> 'a future
 
 val await : 'a future -> 'a
 
-(** [map_list f xs]: apply [f] to every element through the pool,
-    returning results in input order. Serial ([List.map]) when the pool
-    is disabled or [xs] has fewer than two elements.
+(** [map_results ?weight f xs] is the pool's one fan-out primitive:
+    apply [f] to every element through the pool and return per-item
+    outcomes in {e input} order — [Ok v], or [Error (exn, backtrace)]
+    with the backtrace recorded where the task raised (a task killed by
+    cancellation yields [Error (Obs.Budget.Exhausted _, _)]). Serial
+    when the pool is disabled.
 
-    On failure, every future is still awaited before the {e first}
-    failure in input order is re-raised with its original backtrace — a
-    batch never leaks an unjoined task, the choice of exception is
-    deterministic, and under a tripped budget the drained stragglers
-    fail promptly at their first checkpoint. *)
+    Items are {e spawned} in decreasing [weight] (default [0]; ties
+    keep input position), so predicted-heavy work starts before light
+    work. Only the spawn order changes, so results are exactly those of
+    an unweighted run. Every future is awaited, even after a failure: a
+    batch never leaks an unjoined task into a later query, and under a
+    tripped budget the stragglers fail promptly at their first
+    checkpoint. The engine's clause fan-out runs on this with the
+    planner's weights. *)
+val map_results :
+  ?weight:('a -> int) ->
+  ('a -> 'b) ->
+  'a list ->
+  ('b, exn * Printexc.raw_backtrace) result list
+
+(** [map_list f xs] is {!map_results} that re-raises the {e first}
+    failure in input order, with its original backtrace, after every
+    item has finished — the splinter fork's form. *)
 val map_list : ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_list_results f xs] is {!map_list} that hands back per-item
-    outcomes instead of re-raising: an item whose task raised yields
-    [Error (exn, backtrace)] (a task killed by cancellation yields
-    [Error (Obs.Budget.Exhausted _, _)]). Used by the governed engine to
-    keep the clauses that finished when others ran out of budget. *)
-val map_list_results :
-  ('a -> 'b) -> 'a list -> ('b, exn * Printexc.raw_backtrace) result list
-
-(** [map_list_weighted ~weight f xs] is {!map_list} with a
-    longest-task-first submission order: items are {e spawned} in
-    decreasing [weight] (ties broken by input position) so predicted-
-    heavy work starts before light work, while results are returned —
-    and the first failure re-raised — in {e input} order. Since only
-    spawn order changes and [f] must be order-insensitive anyway under
-    a work-stealing pool, determinism is exactly that of {!map_list}.
-    Used by the engine's clause fan-out, with the planner's weights,
-    to schedule splinter-heavy clauses first. *)
-val map_list_weighted : weight:('a -> int) -> ('a -> 'b) -> 'a list -> 'b list
 
 (** {b Cancellation.} Every pool task polls
     [Obs.Budget.task_interrupt] as it starts: once the ambient budget

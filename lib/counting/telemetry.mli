@@ -27,8 +27,6 @@ type outcome =
   | Partial of string  (** budget-trip reason name *)
   | Failed of string  (** error class, e.g. ["omega_error"] *)
 
-val outcome_status : outcome -> string
-
 type clause_info = {
   index : int;
   rows : int;  (** constraint count ({!Omega.Clause.size}) *)
@@ -94,6 +92,9 @@ val to_json : card -> string
     [OMEGA_TELEMETRY] (the environment variable is read at startup).
     The file is opened in append mode on the first {!record}. *)
 val set_file : string option -> unit
+
+(** The current sink path, for restoring it after {!set_file}. *)
+val file : unit -> string option
 
 val enabled : unit -> bool
 

@@ -142,9 +142,6 @@ let charge n =
       | None -> ()
       | Some _ -> if Atomic.fetch_and_add c.fuel (-n) < n then trip c Fuel)
 
-let checkpoint () =
-  match active () with None -> () | Some c -> poll c
-
 let check_fanout n =
   match active () with
   | None -> ()

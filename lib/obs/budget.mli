@@ -6,12 +6,12 @@
     killing the process. This module is the low-level mechanism: a
     process-global {e control block} carrying a wall-clock deadline, a
     step-fuel counter, fan-out/clause caps, and a cancel token. The
-    solver and engine call {!charge} / {!checkpoint} /
-    {!check_fanout} / {!check_clauses} at the points where work is
-    created (one fuel unit per elimination query, engine reduction step,
-    feasibility probe, …); when any limit trips, the first reason is
-    recorded, the cancel token is set so every domain stops at its own
-    next checkpoint, and {!Exhausted} is raised.
+    solver and engine call {!charge} / {!check_fanout} / {!check_clauses}
+    at the points where work is created (one fuel unit per elimination
+    query, engine reduction step, feasibility probe, …); when any limit
+    trips, the first reason is recorded, the cancel token is set so
+    every domain stops at its own next checkpoint, and {!Exhausted} is
+    raised.
 
     When no control block is installed — the default — every check is a
     single [Atomic.get] and nothing can be raised, so ungoverned runs
@@ -85,10 +85,6 @@ val fuel_used : ctrl -> int
     block is installed. Raises {!Exhausted} when the budget trips or has
     already tripped. *)
 val charge : int -> unit
-
-(** [checkpoint ()] polls deadline/cancel/chaos without spending fuel —
-    for hot paths whose work is already fuel-accounted elsewhere. *)
-val checkpoint : unit -> unit
 
 (** [check_fanout n] trips with {!Fanout} when a splinter about to
     create [n] branches exceeds the cap. *)

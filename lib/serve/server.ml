@@ -95,40 +95,6 @@ let with_certificate body cert =
     (String.sub body 0 (String.length body - 1))
     (J.render cert)
 
-(* The server cannot use [Engine.with_instr] (the phase table is
-   process-global and [collect] is not reentrant across concurrent
-   handlers), so telemetry cards carry a minimal report: real label,
-   wall time and options; empty phases/memo/GC deltas. *)
-let minimal_report ~wall_s ~options =
-  {
-    Counting.Instr.label = "omegad";
-    wall_s;
-    phases = [];
-    memo = Omega.Memo.zero_counters ();
-    counts = [];
-    metrics = [];
-    options;
-    minor_words = 0.;
-    promoted_words = 0.;
-    major_words = 0.;
-  }
-
-let emit_card ~opts ~(q : Preslang.query) ~outcome ~wall_s ~meta =
-  if
-    Counting.Telemetry.enabled ()
-    || Counting.Telemetry.pending_postmortem () <> None
-  then begin
-    let card =
-      Counting.Telemetry.build ~label:"omegad" ~opts ~vars:q.Preslang.vars
-        ~summand:q.Preslang.summand ~outcome
-        ~report:(minimal_report ~wall_s ~options:meta)
-        q.Preslang.formula
-    in
-    if Counting.Telemetry.enabled () then Counting.Telemetry.record card;
-    Counting.Telemetry.flush_postmortem ~card ()
-  end
-  else Counting.Telemetry.flush_postmortem ()
-
 (* Compute one admitted count request to a response body. Runs under
    the request's own context; every failure mode maps to a typed body,
    so the handler loop (and the server) never sees an exception. *)
@@ -158,107 +124,43 @@ let answer_body t (req : Proto.query_req) =
             ("query", "omegad") :: ("fingerprint", fingerprint)
             :: Counting.Engine.opts_fields opts
           in
-          let meta =
-            Counting.Engine.opts_fields opts
-            @ [ ("fingerprint", fingerprint) ]
-          in
           Ctx.with_request ~context (fun () ->
-              let t0 = Unix.gettimeofday () in
               let ctrl = Counting.Governor.ctrl_of req.budget in
-              let compute () =
-                Ctx.with_ctrl_registered ctrl (fun () ->
-                    Counting.Governor.sum ~ctrl ~opts ~vars:q.Preslang.vars
-                      q.Preslang.formula q.Preslang.summand)
-              in
               match
-                if req.certify then begin
-                  let outcome, events, dropped =
-                    Counting.Certify.with_recording compute
-                  in
-                  (outcome, Some (events, dropped))
-                end
-                else (compute (), None)
+                Ctx.with_ctrl_registered ctrl (fun () ->
+                    (* a handler cannot share the process-global phase
+                       table, so cards carry the minimal report *)
+                    Counting.Query.run ~label:"omegad" ~opts ~budget:req.budget
+                      ~ctrl ~merge:req.merge ~certify:req.certify ~instr:false
+                      ~at:req.at ~source:req.query ~vars:q.Preslang.vars
+                      ~summand:q.Preslang.summand q.Preslang.formula)
               with
-              | outcome, recorded ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  let merged v =
-                    if req.merge then Counting.Merge.merge_residues v else v
-                  in
-                  let certificate outcome =
-                    match recorded with
-                    | None -> None
-                    | Some (events, dropped) ->
-                        Some
-                          (Counting.Certify.build ~opts ~vars:q.Preslang.vars
-                             ~summand:q.Preslang.summand ~query:req.query
-                             ~ats:(if req.at = [] then [] else [ req.at ])
-                             ~outcome ~events ~dropped q.Preslang.formula)
-                  in
-                  let body, tel_outcome, cacheable =
+              | { outcome; certificate; _ } ->
+                  let body, cacheable =
                     match outcome with
                     | Counting.Governor.Complete v ->
-                        let v = merged v in
-                        let body = Counting.Answer.complete_json ~at:req.at v in
-                        let body =
-                          match certificate (Counting.Certify.Complete v) with
-                          | Some c -> with_certificate body c
-                          | None -> body
-                        in
                         Obs.Metrics.incr m_completed;
-                        (body, Counting.Telemetry.Complete, true)
+                        (Counting.Answer.complete_json ~at:req.at v, true)
                     | Counting.Governor.Partial p ->
-                        let p =
-                          {
-                            p with
-                            Counting.Governor.pieces =
-                              merged p.Counting.Governor.pieces;
-                            lower = merged p.Counting.Governor.lower;
-                            upper = Option.map merged p.Counting.Governor.upper;
-                          }
-                        in
-                        let body = Counting.Answer.partial_json ~at:req.at p in
-                        let body =
-                          match certificate (Counting.Certify.Partial p) with
-                          | Some c -> with_certificate body c
-                          | None -> body
-                        in
                         Obs.Metrics.incr m_partial;
-                        ( body,
-                          Counting.Telemetry.Partial
-                            (Counting.Governor.reason_name
-                               p.Counting.Governor.reason),
-                          false )
+                        (Counting.Answer.partial_json ~at:req.at p, false)
                   in
-                  emit_card ~opts ~q ~outcome:tel_outcome ~wall_s ~meta;
+                  let body =
+                    Option.fold ~none:body ~some:(with_certificate body)
+                      certificate
+                  in
                   if cacheable then Cache.add t.cache ckey body;
                   body
               | exception Counting.Engine.Unbounded msg ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
                   Obs.Metrics.incr m_errors;
-                  emit_card ~opts ~q
-                    ~outcome:(Counting.Telemetry.Failed "unbounded")
-                    ~wall_s ~meta;
                   Proto.error_body ~cls:"unbounded" ~msg
               | exception Omega.Error.Omega_error { phase; what; context } ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  let msg = Omega.Error.to_string ~phase ~what context in
                   Obs.Metrics.incr m_errors;
-                  Obs.Log.error (fun () -> msg);
-                  Counting.Telemetry.write_postmortem ~trigger:"omega_error" ();
-                  emit_card ~opts ~q
-                    ~outcome:(Counting.Telemetry.Failed "omega_error")
-                    ~wall_s ~meta;
-                  Proto.error_body ~cls:"omega_error" ~msg
+                  Proto.error_body ~cls:"omega_error"
+                    ~msg:(Omega.Error.to_string ~phase ~what context)
               | exception exn ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  let msg = Printexc.to_string exn in
                   Obs.Metrics.incr m_errors;
-                  Obs.Log.error (fun () -> "omegad: internal: " ^ msg);
-                  Counting.Telemetry.write_postmortem ~trigger:"internal" ();
-                  emit_card ~opts ~q
-                    ~outcome:(Counting.Telemetry.Failed "internal")
-                    ~wall_s ~meta;
-                  Proto.error_body ~cls:"internal" ~msg))
+                  Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn)))
 
 let handler_loop t =
   let rec loop () =

@@ -352,10 +352,10 @@ let test_pool_backtrace () =
                 in
                 go 0
               in
-              (* map_list_results: per-item error carries the original
+              (* map_results: per-item error carries the original
                  backtrace *)
               (match
-                 Pool.map_list_results
+                 Pool.map_results
                    (fun x -> if x = 1 then raise_probe x else x)
                    [ 0; 1; 2 ]
                with
@@ -364,7 +364,7 @@ let test_pool_backtrace () =
                   if not (contains s "test_governor") then
                     Alcotest.failf
                       "task backtrace does not name the user function:\n%s" s
-              | _ -> Alcotest.fail "map_list_results shape mismatch");
+              | _ -> Alcotest.fail "map_results shape mismatch");
               (* map_list: drains every future, then re-raises the
                  first-by-input-order failure with its original trace *)
               let ran = Atomic.make 0 in
@@ -386,7 +386,41 @@ let test_pool_backtrace () =
                       "re-raised backtrace does not name the user function:\n%s"
                       s);
               Alcotest.(check int)
-                "all tasks drained despite failure" 5 (Atomic.get ran))))
+                "all tasks drained despite failure" 5 (Atomic.get ran));
+          (* Weighted spawn order never shows in the results: the
+             heaviest item (3) is spawned first and fails, but results
+             come back in input order and the first failure in input
+             order is the lighter middle item's. *)
+          List.iter
+            (fun jobs ->
+              with_jobs jobs (fun () ->
+                  let weight x = [| 1; 5; 3; 9; 2 |].(x) in
+                  let results =
+                    Pool.map_results ~weight
+                      (fun x -> if x = 2 || x = 3 then raise_probe x else x * 10)
+                      [ 0; 1; 2; 3; 4 ]
+                  in
+                  (match results with
+                  | [ Ok 0; Ok 10; Error (Probe 2, _); Error (Probe 3, _); Ok 40 ]
+                    ->
+                      ()
+                  | _ ->
+                      Alcotest.failf "jobs=%d: weighted results out of input order"
+                        jobs);
+                  match
+                    List.map
+                      (function
+                        | Ok v -> v
+                        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+                      results
+                  with
+                  | _ -> Alcotest.failf "jobs=%d: failure swallowed" jobs
+                  | exception Probe n ->
+                      Alcotest.(check int)
+                        (Printf.sprintf "jobs=%d: first failure by input order"
+                           jobs)
+                        2 n))
+            [ 1; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors                                                         *)

@@ -543,6 +543,45 @@ let test_byte_identity_jobs jobs () =
         (Counting.Value.to_string v2))
     identity_formulas
 
+(* A query that fails still leaves its card: the shared query runner
+   records a [Failed] card before re-raising. *)
+let test_failed_query_card () =
+  let tele = Filename.temp_file "omega_test_tele" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_file None;
+      try Sys.remove tele with Sys_error _ -> ())
+  @@ fun () ->
+  T.set_file (Some tele);
+  let source = "count { i : i >= 1 }" in
+  let q = Preslang.parse_query source in
+  (match
+     Counting.Query.run ~label:"test" ~opts:E.default ~budget:G.unlimited
+       ~merge:true ~certify:false ~instr:false ~at:[] ~source
+       ~vars:q.Preslang.vars ~summand:q.Preslang.summand q.Preslang.formula
+   with
+  | _ -> Alcotest.fail "an unbounded query was answered"
+  | exception E.Unbounded _ -> ());
+  T.set_file None;
+  let ic = open_in tele in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> ());
+  close_in_noerr ic;
+  match !lines with
+  | [ line ] -> (
+      match J.parse line with
+      | Ok card ->
+          Alcotest.(check (option string))
+            "failed outcome"
+            (Some {|{"status":"failed","error":"unbounded"}|})
+            (Option.map J.render (J.member "outcome" card))
+      | Error e -> Alcotest.failf "card does not parse: %s" e)
+  | ls -> Alcotest.failf "expected exactly one card, got %d" (List.length ls)
+
 let suite =
   ( "telemetry",
     [
@@ -566,4 +605,6 @@ let suite =
         (test_byte_identity_jobs 1);
       Alcotest.test_case "byte-identity jobs=4" `Quick
         (test_byte_identity_jobs 4);
+      Alcotest.test_case "failed query leaves a failed card" `Quick
+        test_failed_query_card;
     ] )
