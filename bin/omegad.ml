@@ -1,5 +1,10 @@
 (* omegad: long-running counting service over a Unix-domain socket.
 
+   One domain per core: [--handlers] domains (default the core count)
+   each answer one request at a time, serially. Requests run in
+   parallel across handlers and never fan out inside one, so the
+   counting pool is never started and [OMEGA_JOBS] has no effect here.
+
    Server:
      omegad --socket /tmp/omegad.sock --handlers 4
    Client (for shells and CI — pumps stdin lines to the socket):
@@ -18,7 +23,8 @@ let () =
         "PATH  Unix-domain socket path (default omegad.sock)" );
       ( "--handlers",
         Arg.Int (fun n -> set (fun c -> { c with Serve.Server.handlers = n })),
-        "N  handler domains — concurrent requests in flight (default 2)" );
+        "N  handler domains — concurrent requests in flight, each run \
+         serially (default the machine's core count)" );
       ( "--queue",
         Arg.Int (fun n -> set (fun c -> { c with Serve.Server.queue_limit = n })),
         "N  admission-queue bound; beyond it requests are shed (default 64)" );
@@ -38,10 +44,6 @@ let () =
             set (fun c ->
                 { c with Serve.Server.idle_sweep_s = (if s <= 0. then None else Some s) })),
         "S  idle seconds before a memo/cache sweep; 0 disables (default 30)" );
-      ( "--jobs",
-        Arg.Int Counting.Pool.set_jobs,
-        "N  worker domains for clause/splinter fan-out, shared by all \
-         requests (default $OMEGA_JOBS or the machine's core count)" );
       ( "--metrics-out",
         Arg.String (fun f -> metrics_file := Some f),
         "FILE  write the metrics registry to FILE at exit in \

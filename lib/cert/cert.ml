@@ -45,9 +45,10 @@ let note_emitted () = Obs.Metrics.incr m_emitted
 (* Each certifying request gets its own recorder, installed in the
    submitting domain's DLS by [with_recording] and propagated to pool
    workers through the [Obs.Ambient] capture in [Pool.spawn] — so two
-   concurrent certifying requests accumulate disjoint event lists.
+   concurrent certifying requests (one per omegad handler domain, which
+   never fans out) accumulate disjoint event lists.
    Event storage inside one recorder is a mutex-protected list, because
-   one request's tasks still record from several worker domains
+   a fanned-out request's tasks record from several worker domains
    (recording happens on refutation paths, which are not hot unless the
    pre-filter prunes thousands of pins — hence the cap and [full]). *)
 type recorder = {

@@ -197,10 +197,18 @@ let make_pool n =
   Obs.Flight.note "pool.start" [ ("jobs", string_of_int n) ];
   p
 
+(* Domains marked serial never fan out, whatever [jobs] says: omegad's
+   handler domains, which already run one request per core. *)
+let serial_key = Domain.DLS.new_key (fun () -> false)
+
+let set_domain_serial () = Domain.DLS.set serial_key true
+
+let parallel_enabled () = jobs () > 1 && not (Domain.DLS.get serial_key)
+
 (* The pool for the current [jobs] setting, spun up on first use. *)
 let current () =
   let n = jobs () in
-  if n <= 1 then None
+  if not (parallel_enabled ()) then None
   else
     match Atomic.get pool with
     | Some p when Array.length p.queues = n -> Some p
@@ -220,8 +228,6 @@ let set_jobs n =
     Atomic.set jobs_setting n;
     teardown ()
   end
-
-let parallel_enabled () = jobs () > 1
 
 (* ------------------------------------------------------------------ *)
 (* Spawn / await                                                       *)
@@ -254,7 +260,9 @@ let spawn f =
          ctrl, prefilter arming, cert recorder, fresh-name cells, memo
          epoch) so the task observes the submitter's request no matter
          which domain ends up executing it — a worker, or another
-         request's handler helping via [await]. *)
+         submitting domain helping via [await]. omegad's handlers are
+         never among them: they are serial, so no two requests share
+         this pool. *)
       let wrap = Obs.Ambient.capture () in
       let result = Atomic.make Unset in
       let run () =

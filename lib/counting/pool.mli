@@ -34,13 +34,22 @@ val jobs : unit -> int
     point falls back to the plain serial code path. *)
 val set_jobs : int -> unit
 
-(** [jobs () > 1]: whether fan-out points should use the pool. *)
+(** [set_domain_serial ()] marks the calling domain as one that never
+    fans out: on it {!map_results} and {!spawn} run inline and the pool
+    is never started, whatever {!jobs} says. The mark is domain-local
+    and permanent. omegad's handler domains set it, so a server runs
+    one request per handler and never more compute domains than
+    handlers. *)
+val set_domain_serial : unit -> unit
+
+(** [jobs () > 1] and the calling domain is not serial: whether fan-out
+    points should use the pool. *)
 val parallel_enabled : unit -> bool
 
 type 'a future
 
 (** [spawn f] queues [f] on the calling domain's queue (runs [f]
-    immediately when [jobs () = 1]). Exceptions raised by [f] are
+    immediately when {!parallel_enabled} is false). Exceptions raised by [f] are
     captured and re-raised by {!await} with their backtrace. *)
 val spawn : (unit -> 'a) -> 'a future
 

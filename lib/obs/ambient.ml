@@ -6,9 +6,11 @@
    register a capture hook here. The worker pool calls [capture] at
    spawn time to snapshot the submitting domain's view, and wraps the
    task body so the executing domain sees exactly that view — and only
-   for the duration of the task. This is what makes concurrent requests
-   safe on a shared pool: two requests' tasks interleave on the same
-   workers, but each task runs under its own request's ambient state. *)
+   for the duration of the task. So a task runs under its own request's
+   ambient state on whichever domain executes it, even when two
+   submitting domains share the pool's workers. (omegad's handlers
+   never fan out, so there each request's state stays on its handler
+   domain.) *)
 
 type wrap = { run : 'a. (unit -> 'a) -> 'a }
 

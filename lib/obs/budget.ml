@@ -3,13 +3,14 @@
    The control block is domain-local: each request (one handler domain
    in omegad, or the whole process in omcount) installs its own, and
    pool tasks inherit the submitter's via the ambient capture in
-   [Pool.spawn] — so concurrent requests on a shared pool each charge
-   their own fuel and trip independently. All state a checkpoint
-   touches is atomic, because a ctrl is still shared across every
-   domain running that request's tasks: fuel is a shared countdown, the
-   cancel token is the cross-domain stop signal, and [tripped_r]
-   latches the FIRST reason so every domain reports the same cause no
-   matter which limit it noticed. *)
+   [Pool.spawn] — so a request charges its own fuel and trips on its
+   own, whichever domains run its tasks. omegad's handlers never fan
+   out, so there a ctrl stays on one domain. All state a checkpoint
+   touches is atomic, because in a fanned-out query a ctrl is shared
+   across every domain running that request's tasks: fuel is a shared
+   countdown, the cancel token is the cross-domain stop signal, and
+   [tripped_r] latches the FIRST reason so every domain reports the
+   same cause no matter which limit it noticed. *)
 
 type reason = Deadline | Fuel | Fanout | Clauses | Cancelled | Injected
 

@@ -60,8 +60,8 @@ val make :
     programming error (each domain runs one governed query at a time,
     like [Engine.with_instr]). Pool tasks spawned under [f] inherit [c]
     on whatever domain executes them, via the {!Ambient} capture — so
-    concurrent requests on separate handler domains charge separate
-    budgets even though they share the worker pool. The
+    concurrent requests on separate domains charge separate budgets,
+    even when their tasks share the worker pool. The
     [budget.fuel_used] counter is credited on uninstall. *)
 val with_ctrl : ctrl -> (unit -> 'a) -> 'a
 

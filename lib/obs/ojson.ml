@@ -12,11 +12,47 @@ type t =
 
 exception Bad of int * string
 
+(* Whether a decimal literal denotes an integer: no nonzero digit sits
+   at or past its decimal point once the exponent has moved the point. *)
+let denotes_integer lit =
+  let n = String.length lit in
+  let rec exp_at i =
+    if i = n || lit.[i] = 'e' || lit.[i] = 'E' then i else exp_at (i + 1)
+  in
+  let e = exp_at 0 in
+  let exp =
+    if e = n then 0
+    else
+      let x = String.sub lit (e + 1) (n - e - 1) in
+      match int_of_string_opt x with
+      | Some v -> v
+      | None -> if String.starts_with ~prefix:"-" x then min_int / 2 else max_int / 2
+  in
+  let point = match String.index_opt lit '.' with Some i when i < e -> i | _ -> e in
+  let sign = if n > 0 && (lit.[0] = '-' || lit.[0] = '+') then 1 else 0 in
+  (* the [k]th digit is a fraction digit when [k >= p] *)
+  let p = point - sign + exp in
+  let rec whole i k =
+    i = e
+    ||
+    match lit.[i] with
+    | '0' .. '9' as c -> (k < p || c = '0') && whole (i + 1) (k + 1)
+    | _ -> whole (i + 1) k
+  in
+  whole 0 0
+
 (* From 2^52 up every double is an integer, so a literal is its double
    there only when it is that integer's own digits; any other keeps
-   its text, so that no integer is rounded or hidden in a fraction. *)
-let float_holds lit f =
-  Float.is_finite f && (Float.abs f < 0x1p52 || Printf.sprintf "%.0f" f = lit)
+   its text, so that no integer is rounded or hidden in a fraction.
+   Below 2^52 an integral double must be the literal's exact value too,
+   or ["1.00000000000000000001"] would read as the integer 1; a literal
+   without a point or exponent ([plain]) always is. *)
+let float_holds ~plain lit f =
+  Float.is_finite f
+  &&
+  if Float.abs f < 0x1p52 then
+    plain || (not (Float.is_integer f)) || denotes_integer lit
+  else Printf.sprintf "%.0f" f = lit
 
 (* The JSON number grammar, [-?(0|[1-9][0-9]* )(\.[0-9]+)?([eE][+-]?[0-9]+)?],
    checked only on a literal kept verbatim: [float_of_string] alone
@@ -136,9 +172,13 @@ let parse s =
   in
   let parse_number () =
     let start = !pos in
+    let plain = ref true in
     let num_char c =
       match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | '0' .. '9' | '-' | '+' -> true
+      | '.' | 'e' | 'E' ->
+          plain := false;
+          true
       | _ -> false
     in
     while !pos < n && num_char s.[!pos] do
@@ -146,7 +186,7 @@ let parse s =
     done;
     let lit = String.sub s start (!pos - start) in
     match float_of_string_opt lit with
-    | Some f when float_holds lit f -> Num f
+    | Some f when float_holds ~plain:!plain lit f -> Num f
     | Some _ when json_number lit -> Lit lit
     | _ -> fail "bad number"
   in

@@ -6,9 +6,12 @@
     {b Numbers.} [Num f] is a float; [Lit s] is a number literal that
     [render] prints verbatim, such as an exact integer past 2{^53} or a
     fixed-precision float. [parse] reads a literal as a [Num] when its
-    double is below 2{^52} in magnitude or is an integer whose digits
-    are the literal; any other literal ([9007199254740993], [1e23],
-    [1e400]) must match the JSON number grammar and is a [Lit]. So
+    double is below 2{^52} in magnitude (and, if that double is an
+    integer, the literal denotes exactly that integer) or is an integer
+    whose digits are the literal; any other literal ([9007199254740993],
+    [1e23], [1e400], [1.00000000000000000001]) must match the JSON
+    number grammar and is a [Lit]. An integral [Num] is therefore always
+    the literal's exact value, and
     [parse (render j) = Ok j] when [j]'s [Num]s are finite and below
     2{^52} and its [Lit]s are ones [parse] returns. Strings support the
     standard JSON escapes, with non-BMP [u]-escape surrogate pairs

@@ -14,7 +14,8 @@ let verdict_name = function
    [Dnf] disarms it for negated subtrees: pool worker domains observe
    the submitting task's arming through the [Obs.Ambient] capture in
    [Pool.spawn], and a disarmed subtree on one domain never disarms a
-   concurrent request on another. *)
+   concurrent request on another (such as another omegad handler,
+   each of which runs its request serially). *)
 let armed_flag : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref true)
 let armed () = !(Domain.DLS.get armed_flag)
 

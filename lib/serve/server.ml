@@ -26,7 +26,7 @@ type config = {
 let default_config =
   {
     socket_path = "omegad.sock";
-    handlers = 2;
+    handlers = Domain.recommended_domain_count ();
     queue_limit = 64;
     cache_capacity = 256;
     cache_ttl_s = Some 300.;
@@ -163,6 +163,10 @@ let answer_body t (req : Proto.query_req) =
                   Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn)))
 
 let handler_loop t =
+  (* One domain per core: requests run in parallel across handlers, each
+     serially on its own, so the clause and splinter fan-outs never
+     start a pool that would compete with the other handlers. *)
+  Counting.Pool.set_domain_serial ();
   let rec loop () =
     match Admission.take t.queue with
     | None -> ()

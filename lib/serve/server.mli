@@ -24,11 +24,20 @@
     degrades {e that request} to a typed body while the server keeps
     serving. SIGTERM/SIGINT (or the [shutdown] verb) stops admission,
     cancels in-flight requests (sound [Partial Cancelled] bodies), and
-    drains cleanly. *)
+    drains cleanly.
+
+    {b Scheduling}: one domain per core. Requests run in parallel
+    across handler domains and serially on each
+    ({!Counting.Pool.set_domain_serial}); the server never starts the
+    counting pool, whatever [OMEGA_JOBS] says. Answers are the same
+    bytes at every jobs level, so only throughput depends on this. *)
 
 type config = {
   socket_path : string;
-  handlers : int;  (** handler domains; one request processed per domain *)
+  handlers : int;
+      (** handler domains; one request processed per domain, serially
+          (no clause or splinter fan-out), so [handlers] is the server's
+          whole compute budget. Default: the core count. *)
   queue_limit : int;  (** admission bound; beyond it requests are shed *)
   cache_capacity : int;  (** whole-answer cache entries *)
   cache_ttl_s : float option;  (** answer-cache TTL; [None] = no expiry *)

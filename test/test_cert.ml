@@ -416,6 +416,11 @@ let test_number_literals () =
   parses "1e23" (J.Lit "1e23");
   parses "9007199254740993.0" (J.Lit "9007199254740993.0");
   parses "4503599627370496.5" (J.Lit "4503599627370496.5");
+  (* below 2^52 an integral double must be the literal's exact value *)
+  parses "1.0" (J.Num 1.);
+  parses "2500e-2" (J.Num 25.);
+  parses "1.00000000000000000001" (J.Lit "1.00000000000000000001");
+  parses "1e-400" (J.Lit "1e-400");
   (* a literal kept verbatim must be a JSON number *)
   List.iter
     (fun s ->

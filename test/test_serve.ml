@@ -264,6 +264,49 @@ let test_exact_numbers () =
               "4503599627370496.5";
             ]))
 
+(* An "at" number binds only when its digits denote exactly an
+   integer: a point or exponent may spell one, but a fraction a double
+   would round away (or a value it would flush to zero) is refused. *)
+let test_exact_at_literals () =
+  Chaos.set None;
+  with_server (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let q = "count { i : 1 <= i <= n }" in
+          let request binding =
+            Serve.Client.request c
+              (Printf.sprintf {|{"id":1,"query":"%s","at":{"n":%s}}|} q
+                 binding)
+          in
+          List.iter
+            (fun binding ->
+              match member "class" (request binding) with
+              | Some (J.Str "bad_request") -> ()
+              | _ -> Alcotest.failf "at n=%s was bound" binding)
+            [
+              "1.00000000000000000001";
+              "0.99999999999999999999";
+              "100.0000000000000000001";
+              "1e-400";
+              "1.5e0";
+            ];
+          List.iter
+            (fun (binding, n) ->
+              Alcotest.(check string)
+                ("at n=" ^ binding)
+                (serial_complete_body ~at:[ ("n", Zint.of_int n) ] q)
+                (strip_id (request binding)))
+            [
+              ("1.0", 1);
+              ("1e2", 100);
+              ("1.000000000000000000000", 1);
+              ("2500e-2", 25);
+              ("0.5e1", 5);
+              ("-0.0", 0);
+            ]))
+
 (* ------------------------------------------------------------------ *)
 (* Wire compatibility: retired and default-valued fields               *)
 
@@ -585,6 +628,82 @@ let test_chaos_under_load () =
             chaos_queries))
 
 (* ------------------------------------------------------------------ *)
+(* One domain per core: handlers never fan out                         *)
+
+let with_jobs n f =
+  let saved = Counting.Pool.jobs () in
+  Counting.Pool.set_jobs n;
+  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved) f
+
+(* The body [Counting.Query.run] renders for a complete request, the
+   certificate spliced in as the server does. *)
+let query_run_body ~certify ~at qtext =
+  let q = Preslang.parse_query qtext in
+  Serve.Ctx.with_request (fun () ->
+      let r =
+        Counting.Query.run ~label:"test" ~opts:E.default
+          ~budget:Counting.Governor.unlimited ~merge:true ~certify
+          ~instr:false ~at ~source:qtext ~vars:q.Preslang.vars
+          ~summand:q.Preslang.summand q.Preslang.formula
+      in
+      match (r.outcome, r.certificate) with
+      | Counting.Governor.Complete v, cert -> (
+          let body = Counting.Answer.complete_json ~at v in
+          match cert with
+          | None -> body
+          | Some cert ->
+              Printf.sprintf "%s,\"certificate\":%s}"
+                (String.sub body 0 (String.length body - 1))
+                (J.render cert))
+      | Counting.Governor.Partial _, _ ->
+          Alcotest.failf "Query.run of %s was partial" qtext)
+
+(* Even with the process pool at 4 jobs, two concurrent splinter
+   requests (one certified) run serially on their handler domains: no
+   pool task runs, and each body is the jobs-1 runner's, byte for
+   byte. *)
+let test_handlers_never_fan_out () =
+  Chaos.set None;
+  let q = "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }" in
+  let at = [ ("n", Zint.of_int 100) ] in
+  let expected =
+    with_jobs 1 (fun () ->
+        List.map (fun certify -> query_run_body ~certify ~at q) [ false; true ])
+  in
+  with_jobs 4 @@ fun () ->
+  with_server ~handlers:2 (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let tasks () =
+            Option.get (metric_value (get_metrics c) "omega_pool_tasks_total")
+          in
+          let before = tasks () in
+          let client certify =
+            Domain.spawn (fun () ->
+                let c = Serve.Client.connect ~retries:100 path in
+                Fun.protect
+                  ~finally:(fun () -> Serve.Client.close c)
+                  (fun () ->
+                    Serve.Client.request c
+                      (Printf.sprintf
+                         {|{"id":1,"query":"%s","at":{"n":100},"certify":%b}|}
+                         q certify)))
+          in
+          let bodies =
+            List.map
+              (fun d -> strip_id (Domain.join d))
+              (List.map client [ false; true ])
+          in
+          Alcotest.(check int) "pool.tasks delta" 0 (tasks () - before);
+          List.iter2
+            (fun name (want, got) -> Alcotest.(check string) name want got)
+            [ "plain body = Query.run at jobs 1";
+              "certified body = Query.run at jobs 1" ]
+            (List.combine expected bodies)))
+
+(* ------------------------------------------------------------------ *)
 (* Crash-only drain: SIGTERM mid-flight                                *)
 
 let test_sigterm_drain () =
@@ -654,6 +773,8 @@ let suite =
     [
       Alcotest.test_case "protocol round-trip" `Quick test_protocol;
       Alcotest.test_case "exact ids and at bindings" `Quick test_exact_numbers;
+      Alcotest.test_case "at literals must denote exact integers" `Quick
+        test_exact_at_literals;
       Alcotest.test_case "legacy plan and backend fields keep bodies identical"
         `Quick test_legacy_fields;
       Alcotest.test_case "interleaved replay x100 is byte-identical (certified)"
@@ -664,6 +785,8 @@ let suite =
         `Quick test_cache;
       Alcotest.test_case "chaos under concurrent load (>=200 faults)" `Quick
         test_chaos_under_load;
+      Alcotest.test_case "handlers never fan out (pool at jobs 4)" `Quick
+        test_handlers_never_fan_out;
       Alcotest.test_case "SIGTERM mid-flight drains crash-only" `Quick
         test_sigterm_drain;
       Alcotest.test_case "shutdown slots run in fixed order once" `Quick
