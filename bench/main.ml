@@ -1324,7 +1324,7 @@ let serve_report emit =
       cache_ttl_s = Some (-1.);
       idle_sweep_s = None;
     };
-  (* Cached: the same corpus with the whole-answer cache on — steady
+  (* Cached: the same corpus with the value cache on — steady
      state for a service replaying hot queries. *)
   throughput_line "serve_throughput_cached"
     {

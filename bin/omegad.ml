@@ -31,13 +31,15 @@ let () =
       ( "--cache-size",
         Arg.Int
           (fun n -> set (fun c -> { c with Serve.Server.cache_capacity = n })),
-        "N  whole-answer cache entries (default 256)" );
+        "N  value-cache bound, in guarded pieces: each cached answer \
+         weighs its piece count (at least 1) and one heavier than N is \
+         not cached (default 256)" );
       ( "--cache-ttl-s",
         Arg.Float
           (fun s ->
             set (fun c ->
                 { c with Serve.Server.cache_ttl_s = (if s <= 0. then None else Some s) })),
-        "S  answer-cache TTL in seconds; 0 disables expiry (default 300)" );
+        "S  value-cache TTL in seconds; 0 disables expiry (default 300)" );
       ( "--idle-sweep-s",
         Arg.Float
           (fun s ->

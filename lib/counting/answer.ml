@@ -2,8 +2,8 @@
 
    Extracted from omcount so the server returns byte-identical bodies:
    omcount prints these strings to stdout, omegad embeds them in its
-   response frames and caches them verbatim. Any change here changes
-   the published schema of both. *)
+   response frames and caches each value with its rendered prefix. Any
+   change here changes the published schema of both. *)
 
 module J = Obs.Ojson
 
@@ -26,11 +26,22 @@ let eval_field name at v =
 
 let value_json v = J.Str (Value.to_string v)
 
+(* A complete body is the [at]-free prefix [{"status":…,"value":…] and
+   then the evaluation, so one symbolic value renders its prefix once
+   and serves every binding. *)
+let complete_prefix value =
+  let s =
+    J.render (J.Obj [ ("status", J.Str "complete"); ("value", value_json value) ])
+  in
+  String.sub s 0 (String.length s - 1)
+
+let complete_of_prefix ~prefix ~at value =
+  match eval_num at value with
+  | Some z -> Printf.sprintf "%s,\"eval\":%s}" prefix (Zint.to_string z)
+  | None -> prefix ^ "}"
+
 let complete_json ~at value =
-  J.render
-    (J.Obj
-       ([ ("status", J.Str "complete"); ("value", value_json value) ]
-       @ eval_field "eval" at value))
+  complete_of_prefix ~prefix:(complete_prefix value) ~at value
 
 let partial_json ~at (p : Governor.partial) =
   J.render

@@ -2,11 +2,12 @@
 
     One renderer produces the body both front ends publish: omcount
     prints it as its whole stdout line; omegad embeds it in response
-    frames and caches it {e as a string}, so a cache hit is
-    byte-identical to the miss that filled it by construction. The
-    bodies carry no volatile fields (no wall time, no ids) — two runs
-    of the same query under per-request fresh-name counters render the
-    same bytes. *)
+    frames. A complete body is an [at]-free prefix followed by the
+    evaluation, and omegad caches a value with its prefix, so a cache
+    hit at any binding finishes the body through {!complete_of_prefix}
+    exactly as a cold run does. The bodies carry no volatile fields (no
+    wall time, no ids) — two runs of the same query under per-request
+    fresh-name counters render the same bytes. *)
 
 (** [eval_num at v] evaluates [v] under the bindings when that yields a
     plain integer; [None] when symbolic constants remain unbound or the
@@ -16,6 +17,16 @@ val eval_num : (string * Zint.t) list -> Value.t -> Zint.t option
 (** [{"status":"complete","value":"…"(,"eval":n)?}] — [eval] present
     exactly when [eval_num] succeeds under [at]. *)
 val complete_json : at:(string * Zint.t) list -> Value.t -> string
+
+(** [complete_prefix v] is [complete_json]'s body for [v] up to, not
+    including, its [eval] field and closing brace: the part that does
+    not depend on the bindings. *)
+val complete_prefix : Value.t -> string
+
+(** [complete_of_prefix ~prefix:(complete_prefix v) ~at v] is
+    [complete_json ~at v]; [complete_json] is defined this way. *)
+val complete_of_prefix :
+  prefix:string -> at:(string * Zint.t) list -> Value.t -> string
 
 (** [{"status":"partial","reason":…,…,"bounds":{…}}] — the governed
     degradation body: reason, progress counts, pieces/lower/upper

@@ -1,10 +1,11 @@
 (** Per-query report cards and post-mortem bundles.
 
     A report card is one self-describing JSON line per query: a
-    canonical formula {!fingerprint} (the future [omegad] answer-cache
-    key — also printed by [omcount --stats] and stamped into bench
-    lines, so cards, bench JSON, and [--explain-plan] output join on
-    it), the per-clause plan/backend routing, memo and pre-filter hit
+    canonical formula {!fingerprint} (a join key only — also printed by
+    [omcount --stats], stamped into bench lines and certificates, so
+    cards, bench JSON, and [--explain-plan] output join on it; being a
+    bounded 62-bit hash, two different queries can share it, so nothing
+    keys answers on it), the per-clause plan/backend routing, memo and pre-filter hit
     rates, budget spend, phase self-times and the full {!Instr.report},
     and the {!outcome}. Cards are assembled {e after} the answer run
     from pure re-computations ({!Engine.route_clause},

@@ -1,4 +1,4 @@
-(* Whole-answer cache — see cache.mli. *)
+(* Value cache — see cache.mli. *)
 
 let m_hits = Obs.Metrics.counter "serve.cache_hits"
 
@@ -8,32 +8,43 @@ let m_evictions = Obs.Metrics.counter "serve.cache_evictions"
 
 let m_entries = Obs.Metrics.gauge "serve.cache_entries"
 
-type node = {
+let m_weight = Obs.Metrics.gauge "serve.cache_weight"
+
+type 'a node = {
   key : string;
-  body : string;
+  entry : 'a;
+  weight : int;  (* at least 1 *)
   expires_at : float;  (* infinity when no TTL *)
-  mutable prev : node option;  (* toward head = most recent *)
-  mutable next : node option;  (* toward tail = least recent *)
+  mutable prev : 'a node option;  (* toward head = most recent *)
+  mutable next : 'a node option;  (* toward tail = least recent *)
 }
 
-type t = {
+type 'a t = {
   mu : Mutex.t;
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;
-  mutable tail : node option;
+  tbl : (string, 'a node) Hashtbl.t;
+  mutable head : 'a node option;
+  mutable tail : 'a node option;
+  mutable total : int;  (* sum of the stored weights *)
   capacity : int;
   ttl_s : float option;
+  weigh : 'a -> int;
 }
 
-let create ~capacity ?ttl_s () =
+let create ~capacity ?ttl_s ?(weight = fun _ -> 1) () =
   {
     mu = Mutex.create ();
     tbl = Hashtbl.create 256;
     head = None;
     tail = None;
+    total = 0;
     capacity = max 1 capacity;
     ttl_s;
+    weigh = weight;
   }
+
+let publish t =
+  Obs.Metrics.set m_entries (Hashtbl.length t.tbl);
+  Obs.Metrics.set m_weight t.total
 
 (* List surgery; all under t.mu. *)
 
@@ -55,7 +66,8 @@ let push_front t n =
 let drop t n =
   unlink t n;
   Hashtbl.remove t.tbl n.key;
-  Obs.Metrics.set m_entries (Hashtbl.length t.tbl)
+  t.total <- t.total - n.weight;
+  publish t
 
 let find t key =
   Mutex.lock t.mu;
@@ -65,7 +77,7 @@ let find t key =
         unlink t n;
         push_front t n;
         Obs.Metrics.incr m_hits;
-        Some n.body
+        Some n.entry
     | Some n ->
         (* Expired: treat as a miss and reclaim the slot. *)
         drop t n;
@@ -79,26 +91,31 @@ let find t key =
   Mutex.unlock t.mu;
   r
 
-let add t key body =
-  Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.tbl key with Some n -> drop t n | None -> ());
-  let expires_at =
-    match t.ttl_s with
-    | Some ttl -> Unix.gettimeofday () +. ttl
-    | None -> infinity
-  in
-  let n = { key; body; expires_at; prev = None; next = None } in
-  Hashtbl.replace t.tbl key n;
-  push_front t n;
-  while Hashtbl.length t.tbl > t.capacity do
-    match t.tail with
-    | Some last ->
-        drop t last;
-        Obs.Metrics.incr m_evictions
-    | None -> assert false
-  done;
-  Obs.Metrics.set m_entries (Hashtbl.length t.tbl);
-  Mutex.unlock t.mu
+let add t key entry =
+  let weight = max 1 (t.weigh entry) in
+  (* Too heavy to keep: storing it would evict everything else. *)
+  if weight <= t.capacity then begin
+    Mutex.lock t.mu;
+    (match Hashtbl.find_opt t.tbl key with Some n -> drop t n | None -> ());
+    let expires_at =
+      match t.ttl_s with
+      | Some ttl -> Unix.gettimeofday () +. ttl
+      | None -> infinity
+    in
+    let n = { key; entry; weight; expires_at; prev = None; next = None } in
+    Hashtbl.replace t.tbl key n;
+    push_front t n;
+    t.total <- t.total + weight;
+    while t.total > t.capacity do
+      match t.tail with
+      | Some last ->
+          drop t last;
+          Obs.Metrics.incr m_evictions
+      | None -> assert false
+    done;
+    publish t;
+    Mutex.unlock t.mu
+  end
 
 let purge_expired t =
   let now = Unix.gettimeofday () in
@@ -121,7 +138,8 @@ let clear t =
   Hashtbl.reset t.tbl;
   t.head <- None;
   t.tail <- None;
-  Obs.Metrics.set m_entries 0;
+  t.total <- 0;
+  publish t;
   Mutex.unlock t.mu
 
 let length t =
@@ -130,19 +148,37 @@ let length t =
   Mutex.unlock t.mu;
   n
 
+let weight t =
+  Mutex.lock t.mu;
+  let w = t.total in
+  Mutex.unlock t.mu;
+  w
+
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                          *)
 
-let key ~fingerprint ~opts ~merge ~certify ~at =
-  let b = Buffer.create 96 in
-  Buffer.add_string b fingerprint;
+let add_opts b opts =
   List.iter
     (fun (k, v) ->
       Buffer.add_char b '|';
       Buffer.add_string b k;
       Buffer.add_char b '=';
       Buffer.add_string b v)
-    (Counting.Engine.opts_fields opts);
+    (Counting.Engine.opts_fields opts)
+
+(* The option fields are fixed names and [|]-free values, so ending the
+   key with the query text, verbatim, keeps it injective. *)
+let value_key ~query ~opts ~merge =
+  let b = Buffer.create (String.length query + 128) in
+  add_opts b opts;
+  Buffer.add_string b (if merge then "|m1|" else "|m0|");
+  Buffer.add_string b query;
+  Buffer.contents b
+
+let key ~fingerprint ~opts ~merge ~certify ~at =
+  let b = Buffer.create 96 in
+  Buffer.add_string b fingerprint;
+  add_opts b opts;
   Buffer.add_string b (if merge then "|m1" else "|m0");
   Buffer.add_string b (if certify then "|c1" else "|c0");
   List.iter

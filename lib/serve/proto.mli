@@ -28,8 +28,8 @@ val parse : string -> (request, Obs.Ojson.t * string) result
 val opts_of : query_req -> Counting.Engine.options
 
 (** [with_id id body] stitches the echoed [id] as the first field of a
-    rendered body object — bodies stay id-free so the answer cache can
-    share them across requests. *)
+    rendered body object — bodies are rendered id-free, so one renderer
+    serves every request. *)
 val with_id : Obs.Ojson.t -> string -> string
 
 val error_body : cls:string -> msg:string -> string

@@ -42,10 +42,14 @@ type conn = {
 
 type job = { jconn : conn; jid : J.t; jreq : Proto.query_req }
 
+(* A value-tier entry: a complete (merged when the request merges)
+   value and its rendered [at]-free body prefix. *)
+type entry = { value : Counting.Value.t; prefix : string }
+
 type t = {
   cfg : config;
   queue : job Admission.t;
-  cache : Cache.t;
+  cache : entry Cache.t;
   stopping : bool Atomic.t;
   active : int Atomic.t;  (* requests being processed right now *)
 }
@@ -95,72 +99,77 @@ let with_certificate body cert =
     (String.sub body 0 (String.length body - 1))
     (J.render cert)
 
-(* Compute one admitted count request to a response body. Runs under
-   the request's own context; every failure mode maps to a typed body,
-   so the handler loop (and the server) never sees an exception. *)
+(* Run one count request through the engine to a response body, under
+   its own request context: the query is parsed there too, so wildcard
+   names (and with them the fingerprint and any certificate) never
+   depend on earlier traffic. A complete value fills the value tier,
+   whether the request certified or not. *)
+let computed_body t (req : Proto.query_req) ~opts ~vkey =
+  Ctx.with_request (fun () ->
+      match Preslang.parse_query req.query with
+      | exception Preslang.Parse_error (pos, msg) ->
+          Obs.Metrics.incr m_errors;
+          Proto.error_body ~cls:"parse_error"
+            ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
+      | q -> (
+          let fingerprint =
+            Counting.Telemetry.fingerprint ~vars:q.Preslang.vars
+              ~summand:q.Preslang.summand q.Preslang.formula
+          in
+          (* the fingerprint needs the parse, so the telemetry context
+             goes in now; [with_request] clears it on exit *)
+          Counting.Telemetry.set_context
+            (("query", "omegad") :: ("fingerprint", fingerprint)
+            :: Counting.Engine.opts_fields opts);
+          let ctrl = Counting.Governor.ctrl_of req.budget in
+          match
+            Ctx.with_ctrl_registered ctrl (fun () ->
+                (* a handler cannot share the process-global phase
+                   table, so cards carry the minimal report *)
+                Counting.Query.run ~label:"omegad" ~opts ~budget:req.budget
+                  ~ctrl ~merge:req.merge ~certify:req.certify ~instr:false
+                  ~at:req.at ~source:req.query ~vars:q.Preslang.vars
+                  ~summand:q.Preslang.summand q.Preslang.formula)
+          with
+          | { outcome; certificate; _ } ->
+              let body =
+                match outcome with
+                | Counting.Governor.Complete value ->
+                    Obs.Metrics.incr m_completed;
+                    let prefix = Counting.Answer.complete_prefix value in
+                    Cache.add t.cache vkey { value; prefix };
+                    Counting.Answer.complete_of_prefix ~prefix ~at:req.at value
+                | Counting.Governor.Partial p ->
+                    Obs.Metrics.incr m_partial;
+                    Counting.Answer.partial_json ~at:req.at p
+              in
+              Option.fold ~none:body ~some:(with_certificate body) certificate
+          | exception Counting.Engine.Unbounded msg ->
+              Obs.Metrics.incr m_errors;
+              Proto.error_body ~cls:"unbounded" ~msg
+          | exception Omega.Error.Omega_error { phase; what; context } ->
+              Obs.Metrics.incr m_errors;
+              Proto.error_body ~cls:"omega_error"
+                ~msg:(Omega.Error.to_string ~phase ~what context)
+          | exception exn ->
+              Obs.Metrics.incr m_errors;
+              Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn)))
+
+(* Answer one admitted count request; every failure mode maps to a
+   typed body, so the handler loop (and the server) never sees an
+   exception. A plain request whose query and options were counted
+   before is a value-tier hit: no parse, no fingerprint, no engine,
+   only the evaluation at its own bindings. A certified request always
+   runs, so its certificate records the run that answered it. *)
 let answer_body t (req : Proto.query_req) =
   Obs.Metrics.incr m_requests;
-  match Preslang.parse_query req.query with
-  | exception Preslang.Parse_error (pos, msg) ->
-      Obs.Metrics.incr m_errors;
-      Proto.error_body ~cls:"parse_error"
-        ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
-  | q -> (
-      let opts = Proto.opts_of req in
-      let fingerprint =
-        Counting.Telemetry.fingerprint ~vars:q.Preslang.vars
-          ~summand:q.Preslang.summand q.Preslang.formula
-      in
-      let ckey =
-        Cache.key ~fingerprint ~opts ~merge:req.merge ~certify:req.certify
-          ~at:req.at
-      in
-      match Cache.find t.cache ckey with
-      | Some body ->
-          Obs.Metrics.incr m_completed;
-          body
-      | None ->
-          let context =
-            ("query", "omegad") :: ("fingerprint", fingerprint)
-            :: Counting.Engine.opts_fields opts
-          in
-          Ctx.with_request ~context (fun () ->
-              let ctrl = Counting.Governor.ctrl_of req.budget in
-              match
-                Ctx.with_ctrl_registered ctrl (fun () ->
-                    (* a handler cannot share the process-global phase
-                       table, so cards carry the minimal report *)
-                    Counting.Query.run ~label:"omegad" ~opts ~budget:req.budget
-                      ~ctrl ~merge:req.merge ~certify:req.certify ~instr:false
-                      ~at:req.at ~source:req.query ~vars:q.Preslang.vars
-                      ~summand:q.Preslang.summand q.Preslang.formula)
-              with
-              | { outcome; certificate; _ } ->
-                  let body, cacheable =
-                    match outcome with
-                    | Counting.Governor.Complete v ->
-                        Obs.Metrics.incr m_completed;
-                        (Counting.Answer.complete_json ~at:req.at v, true)
-                    | Counting.Governor.Partial p ->
-                        Obs.Metrics.incr m_partial;
-                        (Counting.Answer.partial_json ~at:req.at p, false)
-                  in
-                  let body =
-                    Option.fold ~none:body ~some:(with_certificate body)
-                      certificate
-                  in
-                  if cacheable then Cache.add t.cache ckey body;
-                  body
-              | exception Counting.Engine.Unbounded msg ->
-                  Obs.Metrics.incr m_errors;
-                  Proto.error_body ~cls:"unbounded" ~msg
-              | exception Omega.Error.Omega_error { phase; what; context } ->
-                  Obs.Metrics.incr m_errors;
-                  Proto.error_body ~cls:"omega_error"
-                    ~msg:(Omega.Error.to_string ~phase ~what context)
-              | exception exn ->
-                  Obs.Metrics.incr m_errors;
-                  Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn)))
+  let opts = Proto.opts_of req in
+  let vkey = Cache.value_key ~query:req.query ~opts ~merge:req.merge in
+  match if req.certify then None else Cache.find t.cache vkey with
+  | Some { value; prefix } ->
+      Obs.Metrics.incr m_completed;
+      Counting.Answer.complete_of_prefix ~prefix ~at:req.at value
+  | None -> computed_body t req ~opts ~vkey
 
 let handler_loop t =
   (* One domain per core: requests run in parallel across handlers, each
@@ -271,7 +280,9 @@ let run ?(config = default_config) () =
       queue = Admission.create ~limit:config.queue_limit;
       cache =
         Cache.create ~capacity:config.cache_capacity
-          ?ttl_s:config.cache_ttl_s ();
+          ?ttl_s:config.cache_ttl_s
+          ~weight:(fun e -> List.length e.value)
+          ();
       stopping = Atomic.make false;
       active = Atomic.make 0;
     }

@@ -39,8 +39,10 @@ type config = {
           (no clause or splinter fan-out), so [handlers] is the server's
           whole compute budget. Default: the core count. *)
   queue_limit : int;  (** admission bound; beyond it requests are shed *)
-  cache_capacity : int;  (** whole-answer cache entries *)
-  cache_ttl_s : float option;  (** answer-cache TTL; [None] = no expiry *)
+  cache_capacity : int;
+      (** value-cache bound: the total piece count of the cached values,
+          each weighing at least 1 (see {!Cache}) *)
+  cache_ttl_s : float option;  (** value-cache TTL; [None] = no expiry *)
   idle_sweep_s : float option;
       (** idle seconds before a memo/cache sweep; [None] disables *)
 }

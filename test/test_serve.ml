@@ -1,8 +1,8 @@
 (* omegad server battery (the Serve library): protocol round-trips,
    per-request
    isolation (byte-identical replays, certificates included), admission
-   shedding, the whole-answer cache, chaos under concurrent load, and
-   crash-only drain on SIGTERM.
+   shedding, the value cache (hits at new bindings, exact keys, weights),
+   chaos under concurrent load, and crash-only drain on SIGTERM.
 
    Every test runs a real server (own Unix socket, handler domains) in
    this process and talks to it through Serve.Client. *)
@@ -435,7 +435,7 @@ let test_shed () =
             (!answered > 0)))
 
 (* ------------------------------------------------------------------ *)
-(* Whole-answer cache                                                  *)
+(* Value cache: hits, metrics, eviction                                *)
 
 let metric_value text name =
   (* OpenMetrics text: find "name value" at start of a line. *)
@@ -636,13 +636,14 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved) f
 
 (* The body [Counting.Query.run] renders for a complete request, the
-   certificate spliced in as the server does. *)
-let query_run_body ~certify ~at qtext =
-  let q = Preslang.parse_query qtext in
+   certificate spliced in as the server does: a cold run, parsed and
+   counted under a fresh request context. *)
+let query_run_body ?(merge = true) ~certify ~at qtext =
   Serve.Ctx.with_request (fun () ->
+      let q = Preslang.parse_query qtext in
       let r =
         Counting.Query.run ~label:"test" ~opts:E.default
-          ~budget:Counting.Governor.unlimited ~merge:true ~certify
+          ~budget:Counting.Governor.unlimited ~merge ~certify
           ~instr:false ~at ~source:qtext ~vars:q.Preslang.vars
           ~summand:q.Preslang.summand q.Preslang.formula
       in
@@ -702,6 +703,266 @@ let test_handlers_never_fan_out () =
             [ "plain body = Query.run at jobs 1";
               "certified body = Query.run at jobs 1" ]
             (List.combine expected bodies)))
+
+(* ------------------------------------------------------------------ *)
+(* Value tier: one symbolic answer serves every binding                *)
+
+let metric_or_zero c name =
+  Option.value ~default:0 (metric_value (get_metrics c) name)
+
+let hits c = metric_or_zero c "omega_serve_cache_hits_total"
+
+let request_line ?(extra = []) ~id ~at qtext =
+  J.render
+    (J.Obj
+       ([
+          ("id", J.int id);
+          ("query", J.Str qtext);
+          ("at", J.Obj (List.map (fun (k, v) -> (k, J.int v)) at));
+        ]
+       @ extra))
+
+let zat = List.map (fun (k, v) -> (k, Zint.of_int v))
+
+let certificate_accepted resp =
+  match member "certificate" resp with
+  | Some cert -> (
+      match Certcheck.check_line (J.render cert) with
+      | Certcheck.Accepted _, (Certcheck.Accepted _ | Certcheck.Overflowed) ->
+          true
+      | _ -> false)
+  | None -> false
+
+(* Per query: a plain miss fills the value tier; a plain request at a
+   new binding is a hit whose body is a cold run's, byte for byte; a
+   certified request after that still runs (no hit) and its body is
+   the cold certified body, with a certificate omcheck accepts. The
+   two-parameter query gives its hit binding in both key orders. *)
+let test_value_tier_bindings () =
+  Chaos.set None;
+  let cases =
+    [
+      ("count { i, j : 1 <= i <= j <= n }", [ ("n", 40) ], [ [ ("n", 977) ] ],
+        [ ("n", 13) ]);
+      ( "count { i, j : 1 <= i and j <= n and 2*i <= 3*j }",
+        [ ("n", 40) ],
+        [ [ ("n", 1001) ] ],
+        [ ("n", 17) ] );
+      ( "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }",
+        [ ("n", 100) ],
+        [ [ ("n", 250) ] ],
+        [ ("n", 37) ] );
+      ( "count { i, j : 1 <= i <= n and 1 <= j <= m and 2*i <= 3*j }",
+        [ ("n", 5); ("m", 3) ],
+        [ [ ("n", 11); ("m", 7) ]; [ ("m", 7); ("n", 11) ] ],
+        [ ("n", 9); ("m", 3) ] );
+    ]
+  in
+  with_server (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          List.iter
+            (fun (q, fill, hit_ats, cert_at) ->
+              let r = Serve.Client.request c (request_line ~id:1 ~at:fill q) in
+              Alcotest.(check string) (q ^ ": miss") "complete" (status r);
+              List.iter
+                (fun at ->
+                  let h0 = hits c in
+                  let r = Serve.Client.request c (request_line ~id:2 ~at q) in
+                  Alcotest.(check int) (q ^ ": plain hit counted") 1 (hits c - h0);
+                  Alcotest.(check string)
+                    (q ^ ": hit = cold Query.run")
+                    (query_run_body ~certify:false ~at:(zat at) q)
+                    (strip_id r))
+                hit_ats;
+              let h0 = hits c in
+              let r =
+                Serve.Client.request c
+                  (request_line ~id:3 ~at:cert_at
+                     ~extra:[ ("certify", J.Bool true) ]
+                     q)
+              in
+              Alcotest.(check int) (q ^ ": certified is no hit") 0 (hits c - h0);
+              Alcotest.(check string)
+                (q ^ ": certified = cold certified Query.run")
+                (query_run_body ~certify:true ~at:(zat cert_at) q)
+                (strip_id r);
+              Alcotest.(check bool)
+                (q ^ ": certificate accepted") true (certificate_accepted r))
+            cases))
+
+(* [sum { i : 1 <= i <= n } 2*i^1 + 3*i^2 + … + 21*i^20 + c*i^21]: the
+   fingerprint's bounded hash stops before the last term, so c = 1 and
+   c = 2 share a fingerprint, and a fingerprint-keyed cache answered
+   the second with the first's value. *)
+let colliding c =
+  let terms = List.init 20 (fun k -> Printf.sprintf "%d*i^%d" (k + 2) (k + 1)) in
+  Printf.sprintf "sum { i : 1 <= i <= n } %s + %d*i^21"
+    (String.concat " + " terms) c
+
+let test_value_tier_exact_keys () =
+  Chaos.set None;
+  let fingerprint q =
+    let q = Preslang.parse_query q in
+    Counting.Telemetry.fingerprint ~vars:q.Preslang.vars
+      ~summand:q.Preslang.summand q.Preslang.formula
+  in
+  Alcotest.(check string)
+    "the two queries collide on the fingerprint"
+    (fingerprint (colliding 1))
+    (fingerprint (colliding 2));
+  let expected = [ (1, "44040423"); (2, "46137576") ] in
+  with_server (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          List.iter
+            (fun order ->
+              List.iter
+                (fun k ->
+                  let r =
+                    Serve.Client.request c
+                      (request_line ~id:k ~at:[ ("n", 2) ] (colliding k))
+                  in
+                  match member "eval" r with
+                  | Some (J.Num f) ->
+                      Alcotest.(check string)
+                        (Printf.sprintf "c = %d answers its own eval" k)
+                        (List.assoc k expected)
+                        (Printf.sprintf "%.0f" f)
+                  | _ -> Alcotest.failf "no eval in %s" r)
+                order)
+            [ [ 1; 2 ]; [ 2; 1 ] ]))
+
+(* Wildcard names come from the request's own counter, parse included:
+   repeated [mod] requests share one entry, and repeated certified
+   [floor]/[mod] requests are byte-identical to a cold run even after
+   other wildcard-minting traffic on the same handler. *)
+let test_parse_in_request_context () =
+  Chaos.set None;
+  let modq = "count { i : 1 <= i <= n and i mod 3 = 0 }" in
+  let floorq = "count { i : 1 <= i <= n and floor(i/4) >= 2 and i mod 3 = 0 }" in
+  let cert_body = query_run_body ~certify:true ~at:(zat [ ("n", 10) ]) floorq in
+  with_server ~handlers:1 (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let m0 = metric_or_zero c "omega_serve_cache_misses_total" in
+          let h0 = hits c in
+          let bodies =
+            List.init 3 (fun i ->
+                strip_id
+                  (Serve.Client.request c
+                     (request_line ~id:i ~at:[ ("n", 10) ] modq)))
+          in
+          List.iter
+            (Alcotest.(check string) "mod repeat identical" (List.hd bodies))
+            bodies;
+          Alcotest.(check int) "one miss" 1
+            (metric_or_zero c "omega_serve_cache_misses_total" - m0);
+          Alcotest.(check int) "two hits" 2 (hits c - h0);
+          Alcotest.(check int) "one entry" 1
+            (metric_or_zero c "omega_serve_cache_entries");
+          for i = 1 to 2 do
+            let r =
+              Serve.Client.request c
+                (request_line ~id:i ~at:[ ("n", 10) ]
+                   ~extra:[ ("certify", J.Bool true) ]
+                   floorq)
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "certified floor/mod #%d = cold run" i)
+              cert_body (strip_id r)
+          done))
+
+(* The serve-mixed request classes (perfbench's corpus), one request
+   each: their merged values fit the default capacity together. *)
+let serve_mixed_classes =
+  [
+    ("count { i, j : 1 <= i <= j <= n }", []);
+    ("sum { i : 1 <= i <= n } i^2", []);
+    ("count { i, j : 1 <= i and j <= n and 2*i <= 3*j }", []);
+    ("count { i, j, k : 1 <= i <= j <= k <= n }", []);
+    ("count { i : 1 <= i <= n and 3*i <= 2*n }", []);
+    ( "count { i, j : 1 <= i and j <= n and 2*i <= 3*j }",
+      [ ("strategy", J.Str "symbolic") ] );
+    ("count { i, j : 1 <= i and j <= n and 3*i <= 5*j }", []);
+    ("count { i, j : 1 <= i and j <= n and 97*i <= 101*j }", []);
+  ]
+
+let test_cache_weights () =
+  (* the cache itself: weights, the bound, oversize entries *)
+  let cache = Serve.Cache.create ~capacity:10 ~weight:String.length () in
+  Serve.Cache.add cache "a" "aaaa";
+  Serve.Cache.add cache "b" "bbbb";
+  Serve.Cache.add cache "c" "";
+  Alcotest.(check int) "an empty entry weighs 1" 9 (Serve.Cache.weight cache);
+  Serve.Cache.add cache "d" "ddddddddddd";
+  Alcotest.(check int) "an oversize entry is not stored" 3
+    (Serve.Cache.length cache);
+  Alcotest.(check (option string)) "and is absent" None
+    (Serve.Cache.find cache "d");
+  ignore (Serve.Cache.find cache "a");
+  Serve.Cache.add cache "e" "ee";
+  Alcotest.(check (option string)) "LRU entry evicted by weight" None
+    (Serve.Cache.find cache "b");
+  Alcotest.(check int) "weight back within the bound" 7
+    (Serve.Cache.weight cache);
+  Chaos.set None;
+  let warm c classes =
+    List.iteri
+      (fun i (q, extra) ->
+        Alcotest.(check string) q "complete"
+          (status
+             (Serve.Client.request c (request_line ~id:i ~at:[ ("n", 5) ] ~extra q))))
+      classes
+  in
+  let state c ev0 =
+    ( metric_or_zero c "omega_serve_cache_entries",
+      metric_or_zero c "omega_serve_cache_weight",
+      metric_or_zero c "omega_serve_cache_evictions_total" - ev0 )
+  in
+  let with_client ?cache f =
+    with_server ?cache (fun path ->
+        let c = Serve.Client.connect ~retries:100 path in
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close c)
+          (fun () ->
+            f c (metric_or_zero c "omega_serve_cache_evictions_total")))
+  in
+  (* at the default capacity the whole serve-mixed warm-up stays *)
+  with_client (fun c ev0 ->
+      warm c serve_mixed_classes;
+      let entries, weight, evictions = state c ev0 in
+      Alcotest.(check int) "all classes stored" 8 entries;
+      Alcotest.(check int) "nothing evicted" 0 evictions;
+      Alcotest.(check bool)
+        (Printf.sprintf "weight %d fits 256" weight)
+        true (weight <= 256));
+  (* an unmerged splinter value heavier than the bound is served but
+     neither stored nor allowed to evict the lighter entries *)
+  let light = List.filteri (fun i _ -> i < 7) serve_mixed_classes in
+  let splinter = fst (List.nth serve_mixed_classes 7) in
+  with_client ~cache:64 (fun c ev0 ->
+      warm c light;
+      let before = state c ev0 in
+      let r =
+        Serve.Client.request c
+          (request_line ~id:9 ~at:[ ("n", 100) ]
+             ~extra:[ ("merge", J.Bool false) ]
+             splinter)
+      in
+      Alcotest.(check string) "merge:false splinter = cold run"
+        (query_run_body ~merge:false ~certify:false ~at:(zat [ ("n", 100) ])
+           splinter)
+        (strip_id r);
+      Alcotest.(check (triple int int int))
+        "heavier than the bound: not stored, nothing evicted" before
+        (state c ev0))
 
 (* ------------------------------------------------------------------ *)
 (* Crash-only drain: SIGTERM mid-flight                                *)
@@ -787,6 +1048,14 @@ let suite =
         test_chaos_under_load;
       Alcotest.test_case "handlers never fan out (pool at jobs 4)" `Quick
         test_handlers_never_fan_out;
+      Alcotest.test_case "value tier: new bindings equal cold runs" `Quick
+        test_value_tier_bindings;
+      Alcotest.test_case "value tier: exact keys survive a fingerprint collision"
+        `Quick test_value_tier_exact_keys;
+      Alcotest.test_case "parse under the request's own wildcard counter"
+        `Quick test_parse_in_request_context;
+      Alcotest.test_case "value tier: weighted capacity" `Quick
+        test_cache_weights;
       Alcotest.test_case "SIGTERM mid-flight drains crash-only" `Quick
         test_sigterm_drain;
       Alcotest.test_case "shutdown slots run in fixed order once" `Quick
