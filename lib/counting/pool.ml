@@ -264,8 +264,12 @@ let spawn f =
          never among them: they are serial, so no two requests share
          this pool. *)
       let wrap = Obs.Ambient.capture () in
+      (* Backtrace recording is per domain and a new domain starts with
+         it off, so a task run by a worker records only if told to. *)
+      let backtraces = Printexc.backtrace_status () in
       let result = Atomic.make Unset in
       let run () =
+        Printexc.record_backtrace backtraces;
         match wrap.Obs.Ambient.run (fun () -> start_task f) with
         | v -> Atomic.set result (Value v)
         | exception e ->

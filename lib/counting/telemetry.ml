@@ -219,8 +219,6 @@ let () = set_file (Obs.Envcfg.string_opt "OMEGA_TELEMETRY")
 
 let enabled () = Atomic.get on
 
-let file () = sink_locked (fun () -> !sink_path)
-
 let sink_channel_locked () =
   match !sink_oc with
   | Some oc -> Some oc

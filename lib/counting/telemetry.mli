@@ -94,9 +94,6 @@ val to_json : card -> string
     The file is opened in append mode on the first {!record}. *)
 val set_file : string option -> unit
 
-(** The current sink path, for restoring it after {!set_file}. *)
-val file : unit -> string option
-
 val enabled : unit -> bool
 
 (** Append one card to the sink (no-op when disabled). *)

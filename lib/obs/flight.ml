@@ -42,5 +42,3 @@ let to_ojson e =
       ("name", Ojson.Str e.name);
       ("attrs", Ojson.obj (fun v -> Ojson.Str v) e.attrs);
     ]
-
-let event_json e = Ojson.render (to_ojson e)

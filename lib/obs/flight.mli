@@ -33,6 +33,3 @@ val clear : unit -> unit
 
 (** One event as a JSON object ([{"ts":…,"name":…,"attrs":{…}}]). *)
 val to_ojson : event -> Ojson.t
-
-(** [Ojson.render (to_ojson e)]. *)
-val event_json : event -> string

@@ -152,12 +152,13 @@ let test_card () =
        (Counting.Telemetry.to_json (card (Counting.Telemetry.Failed "omega\n"))))
 
 let test_flight () =
+  let event_json e = Obs.Ojson.render (Obs.Flight.to_ojson e) in
   check "Flight.event_json"
     {|{"ts":1.500000,"name":"plan \"x\"","attrs":{"clause":"3","why":"tab\u0009here"}}|}
-    (Obs.Flight.event_json
+    (event_json
        { Obs.Flight.ts = 1.5; name = "plan \"x\""; attrs = [ ("clause", "3"); ("why", "tab\there") ] });
   check "Flight.event_json, no attrs" {|{"ts":0.000001,"name":"e","attrs":{}}|}
-    (Obs.Flight.event_json { Obs.Flight.ts = 1e-6; name = "e"; attrs = [] })
+    (event_json { Obs.Flight.ts = 1e-6; name = "e"; attrs = [] })
 
 let suite =
   ( "json_bytes",

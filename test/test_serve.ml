@@ -499,7 +499,51 @@ let test_cache () =
           | None -> Alcotest.fail "no cache_entries gauge");
           match metric_value m2 "omega_serve_cache_evictions_total" with
           | Some ev -> Alcotest.(check bool) "evictions counted" true (ev > 0)
-          | None -> Alcotest.fail "no eviction counter"))
+          | None -> Alcotest.fail "no eviction counter"));
+  (* Soak: 4 connections x 2500 requests cycling 40 distinct queries
+     through a capacity-16 cache. Every request must complete, and
+     eviction must keep the entry gauge at the bound. The registry is
+     process-global, so evictions are counted from here. *)
+  with_server ~handlers:4 ~cache:16 (fun path ->
+      let metrics () =
+        let c = Serve.Client.connect ~retries:100 path in
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close c)
+          (fun () -> get_metrics c)
+      in
+      let metric text name = Option.value ~default:0 (metric_value text name) in
+      let evictions0 = metric (metrics ()) "omega_serve_cache_evictions_total" in
+      let distinct = 40 and per_conn = 2500 in
+      let conn k =
+        Domain.spawn (fun () ->
+            let c = Serve.Client.connect ~retries:100 path in
+            Fun.protect
+              ~finally:(fun () -> Serve.Client.close c)
+              (fun () ->
+                let incomplete = ref 0 in
+                for i = 0 to per_conn - 1 do
+                  let r =
+                    Serve.Client.request c
+                      (Printf.sprintf
+                         {|{"id":%d,"query":"count { i : 1 <= i <= %d*n }","at":{"n":7}}|}
+                         i
+                         (((i + k) mod distinct) + 1))
+                  in
+                  if status r <> "complete" then incr incomplete
+                done;
+                !incomplete))
+      in
+      let incomplete =
+        List.fold_left ( + ) 0 (List.map Domain.join (List.init 4 conn))
+      in
+      Alcotest.(check int) "every soak response complete" 0 incomplete;
+      let m = metrics () in
+      let entries = metric m "omega_serve_cache_entries" in
+      Alcotest.(check bool)
+        (Printf.sprintf "soak entries %d <= capacity 16" entries)
+        true (entries <= 16);
+      Alcotest.(check bool) "soak evicted" true
+        (metric m "omega_serve_cache_evictions_total" > evictions0))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos under concurrent load                                         *)

@@ -226,11 +226,11 @@ let test_flight_ring_bounded () =
   let last = List.nth events (List.length events - 1) in
   Alcotest.(check (option string)) "newest kept" (Some (string_of_int n))
     (List.assoc_opt "i" last.Obs.Flight.attrs);
-  (match J.parse (Obs.Flight.event_json last) with
+  (match J.parse (J.render (Obs.Flight.to_ojson last)) with
   | Ok j ->
-      Alcotest.(check (option string)) "event_json name" (Some "test.event")
+      Alcotest.(check (option string)) "event name" (Some "test.event")
         (Option.bind (J.member "name" j) J.to_string)
-  | Error e -> Alcotest.failf "event_json not JSON: %s" e);
+  | Error e -> Alcotest.failf "event not JSON: %s" e);
   Obs.Flight.clear ();
   Alcotest.(check int) "clear empties" 0 (List.length (Obs.Flight.recent ()))
 
