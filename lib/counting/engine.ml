@@ -421,32 +421,49 @@ and single_pair opts ord stats vars poly clause fuel v ~rest (b, beta)
   in
   if Zint.is_one a && Zint.is_one b then unit_case ()
   else begin
-    let sum_vars_in e =
-      List.exists (fun u -> List.exists (V.equal u) vars') (A.vars e)
+    (* A bound over symbolic constants only: no remaining summation
+       variable and no wildcard. *)
+    let params_only e =
+      List.for_all
+        (fun u ->
+          not (List.exists (V.equal u) vars' || V.Set.mem u clause.wilds))
+        (A.vars e)
     in
+    let floor_sum () =
+      (* ⌈β/b⌉ = (β + (−β mod b))/b ; ⌊α/a⌋ = (α − (α mod a))/a.
+         Guard: real shadow b·α − a·β ≥ 0 (Sec 4.2.2). The guard gives
+         α/a ≥ β/b, hence ⌊α/a⌋ > β/b − 1 > ⌈β/b⌉ − 2, i.e.
+         ⌊α/a⌋ ≥ ⌈β/b⌉ − 1: the closed form F(⌊α/a⌋) − F(⌈β/b⌉ − 1) is
+         exactly 0 on an empty range, so the sum is exact. *)
+      let inv x = Qnum.make Zint.one x in
+      let lo =
+        Qpoly.scale (inv b)
+          (Qpoly.add (qpoly_of_aff beta)
+             (qpoly_mod (A.to_qlin (A.neg beta)) b))
+      in
+      let hi =
+        Qpoly.scale (inv a)
+          (Qpoly.sub (qpoly_of_aff alpha) (qpoly_mod (A.to_qlin alpha) a))
+      in
+      let inner = Qpoly.sum_over poly vname lo hi in
+      let guard = A.sub (A.scale b alpha) (A.scale a beta) in
+      let clause' =
+        if opts.guard_empty then
+          { base_clause with geqs = guard :: base_clause.geqs }
+        else base_clause
+      in
+      recurse inner clause'
+    in
+    let floor_ok = params_only beta && params_only alpha in
     match opts.strategy with
-    | Symbolic when not (sum_vars_in beta || sum_vars_in alpha) ->
-        (* ⌈β/b⌉ = (β + (−β mod b))/b ; ⌊α/a⌋ = (α − (α mod a))/a.
-           Guard: real shadow b·α − a·β ≥ 0 (approximate, Sec 4.2.2). *)
-        let inv x = Qnum.make Zint.one x in
-        let lo =
-          Qpoly.scale (inv b)
-            (Qpoly.add (qpoly_of_aff beta)
-               (qpoly_mod (A.to_qlin (A.neg beta)) b))
-        in
-        let hi =
-          Qpoly.scale (inv a)
-            (Qpoly.sub (qpoly_of_aff alpha)
-               (qpoly_mod (A.to_qlin alpha) a))
-        in
-        let inner = Qpoly.sum_over poly vname lo hi in
-        let guard = A.sub (A.scale b alpha) (A.scale a beta) in
-        let clause' =
-          if opts.guard_empty then
-            { base_clause with geqs = guard :: base_clause.geqs }
-          else base_clause
-        in
-        recurse inner clause'
+    | Symbolic when floor_ok -> floor_sum ()
+    (* Exact: splinter while [Merge.merge_residues] can fold the a·b
+       residue pieces back; past that, the floor form. *)
+    | Exact
+      when floor_ok
+           && Zint.compare (Zint.mul a b) (Zint.of_int Merge.max_period) > 0
+      ->
+        floor_sum ()
     | Upper | Lower ->
         (* Rational relaxation / tightening of the bounds (Sec 4.2.1).
            Valid as an upper (resp. lower) bound for nonnegative

@@ -165,10 +165,12 @@ let unify_residue (members : member list) : member option =
           Some { first with rest_guard = target; value }
     end
 
+let max_period = 16
+
 let try_merge_family m base (members : member list) : Value.t option =
   (* bucket by residue *)
   match Zint.to_int m with
-  | Some mi when mi >= 2 && mi <= 16 -> begin
+  | Some mi when mi >= 2 && mi <= max_period -> begin
       let buckets = Array.make mi [] in
       let in_range = ref true in
       List.iter

@@ -15,6 +15,12 @@
     same function as the input. *)
 val merge_residues : Value.t -> Value.t
 
+(** The largest modulus {!merge_residues} folds (a family's interpolant
+    has degree below it). The exact engine splinters a rational bound
+    only when the fan-out is at most this; past it, a bound over
+    symbolic constants alone takes the floor/mod form directly. *)
+val max_period : int
+
 (** {1 Deterministic fan-out reduction} *)
 
 (** [combine parts] merges per-task partial values back into one value by

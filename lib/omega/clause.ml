@@ -310,7 +310,14 @@ let to_formula c =
   in
   F.exists (V.Set.elements c.wilds) (F.and_ atoms)
 
-let holds ?box env c = F.holds ?box env (to_formula c)
+(* Without wildcards a clause is a conjunction of atoms: decide them
+   directly, with no formula built. *)
+let holds ?box env c =
+  if V.Set.is_empty c.wilds then
+    List.for_all (fun e -> Zint.is_zero (A.eval env e)) c.eqs
+    && List.for_all (fun e -> Zint.sign (A.eval env e) >= 0) c.geqs
+    && List.for_all (fun (m, e) -> Zint.divides m (A.eval env e)) c.strides
+  else F.holds ?box env (to_formula c)
 
 let pp fmt c =
   let pp_list pp_item fmt l =

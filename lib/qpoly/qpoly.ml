@@ -215,8 +215,8 @@ let mul (a : t) (b : t) : t =
 let pow t n =
   if n < 0 then invalid_arg "Qpoly.pow: negative exponent";
   let rec go acc b n =
-    if n = 0 then acc
-    else go (if n land 1 = 1 then mul acc b else acc) (mul b b) (n lsr 1)
+    let acc = if n land 1 = 1 then mul acc b else acc in
+    if n <= 1 then acc else go acc (mul b b) (n lsr 1)
   in
   go one t n
 
@@ -341,27 +341,66 @@ let subst (t : t) v (r : t) =
 
 let monomials (t : t) = MMap.fold (fun m c acc -> (c, m) :: acc) t []
 
-let eval env (t : t) =
-  let eval_atom = function
-    | Atom.Var v -> Qnum.of_zint (env v)
-    | Atom.Mod (l, c) -> (
-        let q = Lin.eval env l in
-        match Qnum.to_zint q with
-        | Some z -> Qnum.of_zint (Zint.fmod z c)
-        | None ->
-            failwith
-              (Format.asprintf
-                 "Qpoly.eval: mod argument (%a) is not integral" Lin.pp l))
+(* [num/den] of [q] scaled to the common denominator [d] (a multiple
+   of [den]): the integer [num · (d / den)]. *)
+let over d q =
+  let den = Qnum.den q in
+  if Zint.is_one den then Zint.mul (Qnum.num q) d
+  else Zint.mul (Qnum.num q) (Zint.divexact d den)
+
+let lcm_den q acc =
+  let den = Qnum.den q in
+  if Zint.divides den acc then acc else Zint.lcm acc den
+
+(* Evaluation stays in integers: every atom is an integer at an integer
+   point (a mod atom reduces its argument, itself evaluated over its
+   coefficients' common denominator), and the polynomial is one integer
+   numerator over the lcm of its coefficients' denominators. Only the
+   final quotient is a rational. *)
+let eval_mod env l c =
+  let d =
+    SMap.fold (fun _ q acc -> lcm_den q acc) l.Lin.coeffs
+      (Qnum.den l.Lin.const)
   in
-  MMap.fold
-    (fun m c acc ->
-      let v =
-        List.fold_left
-          (fun acc (a, p) -> Qnum.mul acc (Qnum.pow (eval_atom a) p))
-          c m
-      in
-      Qnum.add acc v)
-    t Qnum.zero
+  let num =
+    SMap.fold
+      (fun v q acc -> Zint.add acc (Zint.mul (over d q) (env v)))
+      l.Lin.coeffs (over d l.Lin.const)
+  in
+  if Zint.is_one d then Zint.fmod num c
+  else begin
+    let x, r = Zint.fdiv_rem num d in
+    if not (Zint.is_zero r) then
+      failwith
+        (Format.asprintf "Qpoly.eval: mod argument (%a) is not integral"
+           Lin.pp l);
+    Zint.fmod x c
+  end
+
+let eval env (t : t) =
+  (* a mod atom usually recurs across monomials, physically shared *)
+  let seen = ref [] in
+  let atom = function
+    | Atom.Var v -> env v
+    | Atom.Mod (l, c) as a -> (
+        match List.assq_opt a !seen with
+        | Some x -> x
+        | None ->
+            let x = eval_mod env l c in
+            seen := (a, x) :: !seen;
+            x)
+  in
+  let rec mono acc = function
+    | [] -> acc
+    | (a, p) :: m ->
+        let x = atom a in
+        mono (Zint.mul acc (if p = 1 then x else Zint.pow x p)) m
+  in
+  let d = MMap.fold (fun _ q acc -> lcm_den q acc) t Zint.one in
+  let num =
+    MMap.fold (fun m c acc -> Zint.add acc (mono (over d c) m)) t Zint.zero
+  in
+  Qnum.make num d
 
 let eval_zint env t =
   let q = eval env t in

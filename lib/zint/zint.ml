@@ -282,6 +282,11 @@ let mul a b =
   | Small 1, x | x, Small 1 -> x
   | Small (-1), x | x, Small (-1) -> neg x
   | Small x, Small y when half_range x && half_range y -> small (x * y)
+  | Small x, Small y ->
+      (* y ∉ {0, ±1} here, so the wrapped product overflowed iff
+         dividing it back does not return x *)
+      let p = x * y in
+      if p / y = x then small p else mul_big (to_big a) (to_big b)
   | _ -> mul_big (to_big a) (to_big b)
 
 let mul_int a n = mul a (small n)
@@ -526,12 +531,11 @@ let gcd_ext a b =
 
 let pow t n =
   if n < 0 then invalid_arg "Zint.pow: negative exponent";
+  (* square only while bits remain: the last square would be discarded
+     and, near the native range, would promote to the limb path *)
   let rec go acc b n =
-    if n = 0 then acc
-    else begin
-      let acc = if n land 1 = 1 then mul acc b else acc in
-      go acc (mul b b) (n lsr 1)
-    end
+    let acc = if n land 1 = 1 then mul acc b else acc in
+    if n <= 1 then acc else go acc (mul b b) (n lsr 1)
   in
   go one t n
 

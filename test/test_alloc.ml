@@ -171,6 +171,31 @@ let test_disabled_cert_zero_alloc () =
        run (%.0f vs %.0f): a disabled hook is allocating"
       (words -. plain_words) words plain_words
 
+(* A value-cache hit in omegad is one [Value.eval] of the cached value.
+   The splinter query's value is 97 always-active pieces of
+   (n mod 97) quasi-polynomials; evaluated in integers over one common
+   denominator it costs ~9.6k words, where rational arithmetic per atom
+   and monomial cost ~42k. *)
+let splinter_eval_baseline = 9_700.
+
+let test_splinter_eval_minor_words () =
+  let p =
+    Preslang.parse_query
+      "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }"
+  in
+  let value =
+    Counting.Merge.merge_residues
+      (E.sum ~vars:p.Preslang.vars p.Preslang.formula p.Preslang.summand)
+  in
+  let n = z 12345 in
+  let env _ = n in
+  ignore (Counting.Value.eval env value);
+  let before = Gc.minor_words () in
+  ignore (Counting.Value.eval env value);
+  let words = Gc.minor_words () -. before in
+  guard_ratio ~label:"splinter value evaluation"
+    ~baseline:splinter_eval_baseline words
+
 let suite =
   ( "alloc",
     [
@@ -182,4 +207,6 @@ let suite =
         test_disabled_cert_zero_alloc;
       Alcotest.test_case "example4 gf-backend minor-words ratio guard" `Quick
         test_example4_gf_minor_words;
+      Alcotest.test_case "splinter value eval minor-words ratio guard" `Quick
+        test_splinter_eval_minor_words;
     ] )

@@ -465,6 +465,193 @@ let prop_merge_preserves =
             (Counting.Value.eval env merged))
         [ -2; 0; 1; 4; 7 ])
 
+(* ------------------------------------------------------------------ *)
+(* Exact floor form past the merge period: a rational bound over
+   symbolic constants only, with fan-out above [Merge.max_period], is
+   summed through ⌈β/b⌉ / ⌊α/a⌋ mod atoms instead of a·b residue
+   splinters. Checked against brute force.                               *)
+
+let query ?stats s =
+  let p = Preslang.parse_query s in
+  E.sum ?stats ~vars:p.Preslang.vars p.Preslang.formula p.Preslang.summand
+
+let fdiv a b = Zint.to_int_exn (Zint.fdiv (z a) (z b))
+let cdiv a b = Zint.to_int_exn (Zint.cdiv (z a) (z b))
+
+let test_floor_splinter_query () =
+  let stats = E.new_stats () in
+  let value =
+    query ~stats "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }"
+  in
+  (* one splinter site (j mod 97 under the i bound), then the floor form *)
+  Alcotest.(check (pair int int)) "splinters, pieces" (96, 97)
+    (stats.E.residue_splinters, stats.E.pieces);
+  (* Σ_{j=1}^{n} ⌊101j/97⌋ *)
+  let truth = ref 0 in
+  for n = -3 to 300 do
+    if n >= 1 then truth := !truth + fdiv (101 * n) 97;
+    Alcotest.(check int) (Printf.sprintf "n=%d" n) !truth
+      (eval_at value [ ("n", n) ])
+  done
+
+let test_floor_two_sided () =
+  let value =
+    query
+      "count { i, j : 1 <= i and j <= n and 23*i <= 29*j and 31*j <= 37*i }"
+  in
+  (* Σ_{j=1}^{n} |[max(1, ⌈31j/37⌉), ⌊29j/23⌋]| *)
+  let truth n =
+    let t = ref 0 in
+    for j = 1 to n do
+      t := !t + max 0 (fdiv (29 * j) 23 - max 1 (cdiv (31 * j) 37) + 1)
+    done;
+    !t
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "n=%d" n) (truth n)
+        (eval_at value [ ("n", n) ]))
+    [ -1; 0; 1; 2; 7; 50; 200; 1000 ]
+
+let test_floor_large_coefficient () =
+  (* Past the residue splinter's coefficient limit: answered exactly. *)
+  let value = query "count { i : 1 <= i and 1000003*i <= n }" in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "n=%d" n)
+        (max 0 (fdiv n 1000003))
+        (eval_at value [ ("n", n) ]))
+    [ -1000003; 0; 1000002; 1000003; 2000005; 2000006; 5000000; 123456789 ]
+
+(* Random rational bound pairs with fan-out above [Merge.max_period]:
+   b·i ≥ p·n + q and a·i ≤ r·n + s, summing i^deg. *)
+let floor_case_gen =
+  QCheck.make
+    ~print:(fun (a, b, (p, q, r, s), deg) ->
+      Printf.sprintf "%d*i >= %d*n + %d, %d*i <= %d*n + %d, Σ i^%d" b p q a r
+        s deg)
+    QCheck.Gen.(
+      map
+        (fun ((a, b), pqrs, deg) ->
+          ((if a * b <= Counting.Merge.max_period then a + 16 else a), b, pqrs,
+           deg))
+        (triple
+           (pair (int_range 1 40) (int_range 1 40))
+           (quad (int_range (-3) 3) (int_range (-20) 20) (int_range (-3) 3)
+              (int_range (-20) 20))
+           (int_range 0 2)))
+
+let prop_floor_matches_brute =
+  QCheck.Test.make ~name:"floor form = brute force" ~count:60 floor_case_gen
+    (fun (a, b, (p, q, r, s), deg) ->
+      let f =
+        F.and_
+          [
+            F.geq (A.scale (z b) (v "i")) (A.add (A.scale (z p) (v "n")) (k q));
+            F.leq (A.scale (z a) (v "i")) (A.add (A.scale (z r) (v "n")) (k s));
+          ]
+      in
+      let poly = Qpoly.pow (Qpoly.var "i") deg in
+      let value = E.sum ~vars:[ "i" ] f poly in
+      List.for_all
+        (fun n ->
+          let env = env_of [ ("n", n) ] in
+          Qnum.equal
+            (E.brute_sum ~vars:[ "i" ] ~lo:(-60) ~hi:60 env f poly)
+            (Counting.Value.eval env value))
+        [ -10; -7; -1; 0; 3; 10 ])
+
+(* Periods up to [Merge.max_period] keep splinter-then-merge: merged and
+   unmerged answers are pinned byte for byte to the output before the
+   floor form existed. *)
+let e5b_sor =
+  let module L = Loopapps.Loopnest in
+  {
+    L.loops =
+      [
+        L.loop "i" (k 2) (A.add_const (v "N") Zint.minus_one);
+        L.loop "j" (k 2) (A.add_const (v "N") Zint.minus_one);
+      ];
+    guards = [];
+    flops_per_iteration = 6;
+    accesses =
+      List.map
+        (fun (di, dj) ->
+          {
+            L.array = "a";
+            subscripts =
+              [ A.add_const (v "i") (z di); A.add_const (v "j") (z dj) ];
+          })
+        [ (0, 0); (-1, 0); (1, 0); (0, -1); (0, 1) ];
+  }
+
+let pinned_literal =
+  [
+    ( "E6",
+      "(sum : n - 1 >= 0 : 3/4*n^2 - 1/4*(n mod 2) + 1/2*n)",
+      "(sum : n - 2 >= 0 && 2 | (n) : 3/4*n^2 + 1/2*n)\n\
+       + (sum : n - 3 >= 0 && 2 | (n + 1) : 3/8*n^2 - 3/8)\n\
+       + (sum : n - 1 >= 0 && 2 | (n + 1) : 3/8*n^2 + 1/2*n + 1/8)" );
+    ( "rational35",
+      "(sum : n - 1 >= 0 : 1/6*(n mod 3)^2 + 5/6*n^2 - 1/2*(n mod 3) + 1/2*n)",
+      "(sum : n - 3 >= 0 && 3 | (n) : 5/6*n^2 + 1/2*n)\n\
+       + (sum : n - 4 >= 0 && 3 | (n + 2) : 5/9*n^2 - 1/9*n - 4/9)\n\
+       + (sum : n - 5 >= 0 && 3 | (n + 1) : 5/18*n^2 - 5/18*n - 5/9)\n\
+       + (sum : n - 2 >= 0 && 3 | (n + 1) : 5/9*n^2 + 7/9*n + 2/9)\n\
+       + (sum : n - 1 >= 0 && 3 | (n + 2) : 5/18*n^2 + 11/18*n + 1/9)" );
+    ( "third",
+      "(sum : n - 2 >= 0 : -1/3*(2n mod 3) + 2/3*n)",
+      "(sum : n - 2 >= 0 && 3 | (2n) : 2/3*n)\n\
+       + (sum : n - 2 >= 0 && 3 | (2n + 2) : 2/3*n - 1/3)\n\
+       + (sum : n - 3 >= 0 && 3 | (2n + 1) : 2/3*n - 2/3)" );
+  ]
+
+let pinned_queries =
+  [
+    ("E6", "count { i, j : 1 <= i and j <= n and 2*i <= 3*j }");
+    ("rational35", "count { i, j : 1 <= i and j <= n and 3*i <= 5*j }");
+    ("third", "count { i : 1 <= i <= n and 3*i <= 2*n }");
+  ]
+
+let test_small_periods_pinned () =
+  let both value =
+    ( Counting.Value.to_string (Counting.Merge.merge_residues value),
+      Counting.Value.to_string value )
+  in
+  let fresh f =
+    Test_differential.reset_world ();
+    both (f ())
+  in
+  List.iter
+    (fun (name, merged, raw) ->
+      let q = List.assoc name pinned_queries in
+      Alcotest.(check (pair string string)) name (merged, raw)
+        (fresh (fun () -> query q)))
+    pinned_literal;
+  (* "rational" is E6's text sent as a query; E6 proper is built as a
+     formula, as the bench does. *)
+  let _, e6_merged, e6_raw = List.hd pinned_literal in
+  Alcotest.(check (pair string string)) "E6 formula" (e6_merged, e6_raw)
+    (fresh (fun () ->
+         E.count ~vars:[ "i"; "j" ]
+           (F.and_
+              [
+                F.geq (v "i") (k 1);
+                F.leq (v "j") (v "n");
+                F.leq (A.scale Zint.two (v "i")) (A.scale (z 3) (v "j"));
+              ])));
+  (* E5b's two renderings are ~1 KB each: pinned by length and MD5. *)
+  let digest s = (String.length s, Digest.to_hex (Digest.string s)) in
+  let merged, raw =
+    fresh (fun () ->
+        Loopapps.Loopnest.cache_line_count e5b_sor ~array:"a" ~words:16
+          ~base:1)
+  in
+  Alcotest.(check (pair int string)) "E5b merged"
+    (972, "32703ac466d7d979d227696a7e957211") (digest merged);
+  Alcotest.(check (pair int string)) "E5b unmerged"
+    (965, "d1e167af63aec816b8107a1ac58e97d3") (digest raw)
+
 let suite =
   ( "counting",
     [
@@ -485,4 +672,13 @@ let suite =
       QCheck_alcotest.to_alcotest prop_count_matches_brute;
       QCheck_alcotest.to_alcotest prop_sum_matches_brute;
       QCheck_alcotest.to_alcotest prop_merge_preserves;
+      Alcotest.test_case "floor form: splinter query vs brute force" `Quick
+        test_floor_splinter_query;
+      Alcotest.test_case "floor form: two-sided 23/29/31/37" `Quick
+        test_floor_two_sided;
+      Alcotest.test_case "floor form: coefficient 1000003" `Quick
+        test_floor_large_coefficient;
+      QCheck_alcotest.to_alcotest prop_floor_matches_brute;
+      Alcotest.test_case "periods <= max_period byte-identical" `Quick
+        test_small_periods_pinned;
     ] )

@@ -150,13 +150,16 @@ let test_chaos_quota () =
 
 (* Coprime coefficients force splinter cascades; ungoverned this runs
    far past any test budget, so only its governed behaviour is
-   observed. *)
+   observed. Every bound but the last mentions a summation variable, so
+   the exact floor form (symbolic-only bounds) cannot shortcut the
+   residue splinters. *)
 let splinter_heavy =
   F.and_
     [
-      F.geq (A.scale (Zint.of_int 97) (av "i")) (k 1);
-      F.leq (A.scale (Zint.of_int 89) (av "j")) (av "n");
-      F.leq (A.scale (Zint.of_int 53) (av "i")) (A.scale (Zint.of_int 47) (av "j"));
+      F.geq (av "i") (k 1);
+      F.leq (A.scale (Zint.of_int 97) (av "i")) (A.scale (Zint.of_int 89) (av "j"));
+      F.leq (A.scale (Zint.of_int 53) (av "j")) (A.scale (Zint.of_int 47) (av "k"));
+      F.leq (av "k") (av "n");
     ]
 
 let test_deadline jobs () =
@@ -167,7 +170,7 @@ let test_deadline jobs () =
           let outcome =
             G.count
               ~budget:{ G.unlimited with G.deadline_ms = Some 50 }
-              ~vars:[ "i"; "j" ] splinter_heavy
+              ~vars:[ "i"; "j"; "k" ] splinter_heavy
           in
           let dt = Unix.gettimeofday () -. t0 in
           (* Generous ceiling: the point is "bounded", not "fast" — the

@@ -1023,7 +1023,7 @@ let test_sigterm_drain () =
           for i = 1 to 3 do
             Serve.Client.send c
               (Printf.sprintf
-                 {|{"id":%d,"query":"count { i, j : 1 <= i and j <= n and 23*i <= 29*j and 31*j <= 37*i }","at":{"n":50},"deadline_ms":30000}|}
+                 {|{"id":%d,"query":"count { i, j, k : 1 <= i and 97*i <= 89*j and 53*j <= 47*k and k <= n }","at":{"n":50},"deadline_ms":30000}|}
                  i)
           done;
           Unix.sleepf 0.3;
