@@ -7,11 +7,9 @@
      value a row prints is compared with the one EXPERIMENTS.md records;
    - the instrumented lines (one [Instr] report per row, cold caches),
      the memo ablation, the report cards and the untimed certify pass;
-   - the comparison lines (serial vs parallel, counting backends,
-     planner, governor and telemetry overhead), all made by one helper
-     that asserts byte-identical values before it times anything.
-
-   The domain pool's size comes from OMEGA_JOBS. *)
+   - the comparison lines (counting backends, planner, governor and
+     telemetry overhead), all made by one helper that asserts
+     byte-identical values before it times anything. *)
 
 module F = Presburger.Formula
 module A = Presburger.Affine
@@ -391,9 +389,9 @@ let check_results () =
   bad = 0
 
 (* Every committed BENCH_*.json must open with a [_meta] line recording
-   at least the machine's [cores_available] and the [jobs] setting the
-   figures were taken at — without them a wall-clock line cannot be
-   interpreted. `--check` fails on a bench file missing them. *)
+   at least the machine's [cores_available] — without it a wall-clock
+   line cannot be interpreted. `--check` fails on a bench file missing
+   it. *)
 let check_bench_meta () =
   let files =
     Sys.readdir "." |> Array.to_list
@@ -408,14 +406,14 @@ let check_bench_meta () =
         J.member "label" meta = Some (J.Str "_meta")
         && List.for_all
              (fun key -> Option.bind (J.member key meta) J.to_int <> None)
-             [ "cores_available"; "jobs" ]
+             [ "cores_available" ]
     | Error _ -> false
   in
   let bad = List.filter (fun f -> not (has_meta f)) files in
   List.iter
     (Printf.printf
        "  BAD META %s: first line must be a _meta object with integer \
-        cores_available and jobs\n")
+        cores_available\n")
     bad;
   Printf.printf "Bench meta check: %d/%d BENCH_*.json files carry full _meta\n"
     (List.length files - List.length bad)
@@ -540,28 +538,16 @@ let instr_lines emit =
    once cold and every rendering must be byte-identical, or the bench
    aborts. Then the sides are timed cold, interleaved rep by rep so slow
    drift (heap growth, CPU frequency) hits all equally, best of [reps];
-   [fields] turns the best times into the line. Side [i] runs at
-   [jobs.(i)] domains (default 1), the pool resized and started outside
-   the timer. [counters] are the last side's metric deltas from its
-   untimed run, each recorded under its name's last component. *)
-let compare emit ?(jobs = [||]) ?(counters = []) ~reps label sides fields =
-  let saved = Counting.Pool.jobs () in
-  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved) @@ fun () ->
-  let cold i =
-    let n = if i < Array.length jobs then jobs.(i) else 1 in
-    if Counting.Pool.jobs () <> n then begin
-      Counting.Pool.set_jobs n;
-      (* one short task per worker, so every domain has started *)
-      let nap () = Unix.sleepf 0.002 in
-      ignore (Counting.Pool.map_list nap (List.init n ignore))
-    end;
-    Omega.Memo.clear_all ()
-  in
+   [fields] turns the best times into the line. [counters] are the last
+   side's metric deltas from its untimed run, each recorded under its
+   name's last component. *)
+let compare emit ?(counters = []) ~reps label sides fields =
+  let cold = Omega.Memo.clear_all in
   let deltas = ref [] in
   let rendered =
-    List.mapi
-      (fun i side ->
-        cold i;
+    List.map
+      (fun side ->
+        cold ();
         let before = Obs.Metrics.snapshot () in
         let s = Lazy.force (side ()) in
         deltas := Obs.Metrics.diff (Obs.Metrics.snapshot ()) before;
@@ -574,7 +560,7 @@ let compare emit ?(jobs = [||]) ?(counters = []) ~reps label sides fields =
   for _ = 1 to reps do
     List.iteri
       (fun i side ->
-        cold i;
+        cold ();
         let t0 = Unix.gettimeofday () in
         ignore (side ());
         best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0))
@@ -616,22 +602,6 @@ let generous_budget =
 let comparisons emit =
   Printf.printf
     "Comparisons (cold caches, interleaved best of k, sides byte-identical):\n";
-  (* Serial vs parallel: at the pool's size, or one domain per core when
-     the pool is off. *)
-  let par_jobs =
-    let j = Counting.Pool.jobs () in
-    if j > 1 then j else Domain.recommended_domain_count ()
-  in
-  List.iter
-    (fun (label, run) ->
-      let side () = of_value run E.default in
-      compare emit ~jobs:[| 1; par_jobs |] ~reps:3 ("par_compare_" ^ label)
-        [ side; side ]
-        (fun t ->
-          [ ("jobs", J.int par_jobs); ("serial_s", secs t.(0));
-            ("parallel_s", secs t.(1)); ("par_speedup", ratio t.(0) t.(1)) ]))
-    [ ("E4_example4", counted e4); ("E6_example6", counted e6);
-      ("S33_hpf_ownership", ownership) ];
   (* Counting backends. E4's full count is dominated by quantifier
      elimination, which no backend touches; its sum phase alone (DNF
      precomputed) is the part the backend owns. S33 is symbolic in n, so
@@ -758,14 +728,13 @@ let () =
       json_oc
   in
   (* Every emitted stream opens with a _meta line recording the machine
-     and jobs context — what `--check`'s bench-meta gate enforces on the
+     context — what `--check`'s bench-meta gate enforces on the
      committed BENCH_*.json. *)
   emit
     (line "_meta"
        [
          ("generator", J.Str "bench/main.exe");
          ("cores_available", J.int (Domain.recommended_domain_count ()));
-         ("jobs", J.int (Counting.Pool.jobs ()));
        ]);
   (* Untimed, and before the card sink is armed: the sink holds only the
      timed rows' cards. *)

@@ -293,11 +293,6 @@ let () =
          backend, elimination order) before the run and the observed \
          planner counters after it, to stderr" );
       ("--no-merge", Arg.Clear merge, "  do not merge residue classes");
-      ( "--jobs",
-        Arg.Int Counting.Pool.set_jobs,
-        "N  use N domains for clause/splinter fan-out (default \
-         $OMEGA_JOBS or the machine's core count; output is identical \
-         for every N)" );
       ( "--stats",
         Arg.Set stats,
         "  print phase timings, memo counters, and Gc allocation words \

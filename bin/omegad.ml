@@ -2,8 +2,7 @@
 
    One domain per core: [--handlers] domains (default the core count)
    each answer one request at a time, serially. Requests run in
-   parallel across handlers and never fan out inside one, so the
-   counting pool is never started and [OMEGA_JOBS] has no effect here.
+   parallel across handlers.
 
    Server:
      omegad --socket /tmp/omegad.sock --handlers 4

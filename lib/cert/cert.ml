@@ -43,14 +43,11 @@ let m_emitted = Obs.Metrics.counter "cert.emitted"
 let note_emitted () = Obs.Metrics.incr m_emitted
 
 (* Each certifying request gets its own recorder, installed in the
-   submitting domain's DLS by [with_recording] and propagated to pool
-   workers through the [Obs.Ambient] capture in [Pool.spawn] — so two
-   concurrent certifying requests (one per omegad handler domain, which
-   never fans out) accumulate disjoint event lists.
-   Event storage inside one recorder is a mutex-protected list, because
-   a fanned-out request's tasks record from several worker domains
-   (recording happens on refutation paths, which are not hot unless the
-   pre-filter prunes thousands of pins — hence the cap and [full]). *)
+   running domain's DLS by [with_recording] — so two concurrent
+   certifying requests (one per omegad handler domain) accumulate
+   disjoint event lists. Recording happens on refutation paths, which
+   are not hot unless the pre-filter prunes thousands of pins — hence
+   the cap and [full]. *)
 type recorder = {
   r_mu : Mutex.t;
   mutable r_events : event list;
@@ -66,18 +63,6 @@ let current : recorder option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let active () = !(Domain.DLS.get current)
-
-let () =
-  Obs.Ambient.register (fun () ->
-      let captured = active () in
-      {
-        Obs.Ambient.run =
-          (fun f ->
-            let cell = Domain.DLS.get current in
-            let saved = !cell in
-            cell := captured;
-            Fun.protect ~finally:(fun () -> cell := saved) f);
-      })
 
 let armed () = match active () with Some _ -> true | None -> false
 

@@ -10,7 +10,7 @@
     of the clauses they discard; the generating-function backend pushes
     the clauses it counted. Recording is purely observational (the
     answer path never reads recorder state), so certified answers are
-    byte-identical to uncertified ones at every [--jobs]. After the
+    byte-identical to uncertified ones. After the
     answer run, {!Counting.Certify} drains the events, runs {!witness}
     on each refuted snapshot, and assembles the certificate JSON that
     [lib/certcheck] replays.
@@ -75,8 +75,7 @@ type event = Refuted of site * snapshot | Counted of gf_entry
 (** Whether recording is armed for the calling domain's current request.
     A single domain-local load: drop sites guard their snapshot
     construction on it, so disarmed runs pay one branch and allocate
-    nothing. Pool tasks inherit the submitting request's recorder via
-    the [Obs.Ambient] capture. *)
+    nothing. *)
 val armed : unit -> bool
 
 (** True once the refutation cap is reached: hot loops (the pin clamp)

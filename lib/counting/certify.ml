@@ -61,8 +61,8 @@ let pieces_json v = J.Arr (List.map piece_json v)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: events. Deduplicated and sorted on their rendered
-   JSON so certificates are stable across --jobs levels (recording
-   order under domains is scheduler-dependent). *)
+   JSON, so a certificate lists each discarded clause once, in an order
+   independent of the engine's traversal. *)
 
 let sort_dedup cmp l =
   let rec dedup = function

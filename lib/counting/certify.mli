@@ -36,8 +36,7 @@ type outcome = Governor.outcome =
     assembles the certificate. [ats] are evaluation environments; a
     point whose value the engine cannot evaluate (unbound constant) is
     skipped. Deterministic for a given outcome: refuted and gf entries
-    are deduplicated and sorted, so certificates agree across [--jobs]
-    levels. Increments [cert.emitted]. *)
+    are deduplicated and sorted. Increments [cert.emitted]. *)
 val build :
   opts:Engine.options ->
   vars:string list ->

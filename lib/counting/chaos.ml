@@ -1,11 +1,12 @@
 (* Deterministic fault injection — see chaos.mli.
 
    Each decision hashes (seed, event index) with a splitmix-style mixer;
-   the event index comes from a global atomic counter, so at jobs = 1
-   the schedule is exactly reproducible and at jobs > 1 it is
-   reproducible per interleaving. The harness's correctness battery
-   never depends on WHICH fault fires, only that every fired fault is
-   absorbed into a sound outcome. *)
+   the event index comes from a global atomic counter, so one governed
+   query at a time replays its schedule exactly (concurrent queries on
+   several domains share the counter, reproducible per interleaving).
+   The harness's correctness battery never depends on WHICH fault
+   fires, only that every fired fault is absorbed into a sound
+   outcome. *)
 
 type cfg = { seed : int; rate : int }
 
@@ -13,27 +14,25 @@ let default_rate = 64
 
 let state : cfg option Atomic.t = Atomic.make None
 let checkpoint_events = Atomic.make 0
-let task_events = Atomic.make 0
 let injected = Atomic.make 0
 let m_injections = Obs.Metrics.counter "chaos.injections"
 
 let enabled () = Atomic.get state <> None
 let injections () = Atomic.get injected
 
-(* forward declaration: [set] (un)registers the budget hooks so that
+(* forward declaration: [set] (un)registers the budget hook so that
    checkpoints in chaos-free runs never pay for a hook closure call *)
-let register_hooks = ref (fun _ -> ())
+let register_hook = ref (fun _ -> ())
 
 let set ?(rate = default_rate) seed =
   Atomic.set checkpoint_events 0;
-  Atomic.set task_events 0;
   let cfg =
     match seed with
     | Some seed -> Some { seed; rate = (if rate < 1 then 1 else rate) }
     | None -> None
   in
   Atomic.set state cfg;
-  !register_hooks (cfg <> None)
+  !register_hook (cfg <> None)
 
 (* 62-bit splitmix-style avalanche; constants truncated to fit OCaml's
    int literals. Quality only has to beat "every Nth event". *)
@@ -54,7 +53,7 @@ let record_injection () =
 
 (* Checkpoint faults simulate the budget's own trip conditions, so the
    whole degradation path downstream of a real exhaustion is exercised:
-   latch-first-reason, cross-domain cancel, partial assembly. *)
+   latch-first-reason, cancel, partial assembly. *)
 let checkpoint_hook () =
   match Atomic.get state with
   | None -> None
@@ -69,31 +68,13 @@ let checkpoint_hook () =
            else Obs.Budget.Deadline)
       end
 
-(* Task faults simulate a worker dying as it picks up a task: the pool
-   completes the future with [Exhausted Injected] without running it. *)
-let task_hook () =
-  match Atomic.get state with
-  | None -> false
-  | Some { seed; rate } ->
-      let n = Atomic.fetch_and_add task_events 1 in
-      let fire = mix (seed lxor 0x5DEECE66D) n mod rate = 0 in
-      if fire then record_injection ();
-      fire
-
 let installed = Atomic.make false
 
 let install () =
   if not (Atomic.exchange installed true) then begin
-    (register_hooks :=
+    (register_hook :=
        fun on ->
-         if on then begin
-           Obs.Budget.set_chaos_hook (Some checkpoint_hook);
-           Obs.Budget.set_chaos_task_hook (Some task_hook)
-         end
-         else begin
-           Obs.Budget.set_chaos_hook None;
-           Obs.Budget.set_chaos_task_hook None
-         end);
+         Obs.Budget.set_chaos_hook (if on then Some checkpoint_hook else None));
     match Obs.Envcfg.int_opt "OMEGA_CHAOS" with
     | None -> ()
     | Some seed ->

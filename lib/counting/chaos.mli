@@ -2,15 +2,14 @@
 
     When enabled, every budget checkpoint of a {e governed} computation
     (one running under [Governor]/[Obs.Budget.with_ctrl]) may be turned
-    into a simulated fuel exhaustion or deadline expiry, and every pool
-    task may be killed at start with a worker-task exception — the three
-    failure modes the governor must degrade through. Ungoverned code is
-    never touched: the hooks are consulted only while a control block is
-    active.
+    into a simulated fuel exhaustion or deadline expiry — the failure
+    modes the governor must degrade through. Ungoverned code is never
+    touched: the hook is consulted only while a control block is active.
 
     Decisions are a pure hash of [(seed, event counter)], so a given
-    seed replays the same fault schedule (per interleaving of
-    checkpoints; at [jobs = 1] the schedule is fully deterministic).
+    seed replays the same fault schedule (fully deterministic for one
+    governed query at a time; per interleaving when several domains run
+    governed queries at once).
 
     Enable from the environment with [OMEGA_CHAOS=<seed>] (optional
     [OMEGA_CHAOS_RATE=<n>], default {!default_rate} — roughly one fault
@@ -19,7 +18,7 @@
 (** Roughly one injected fault per this many checkpoints. *)
 val default_rate : int
 
-(** [install ()] registers the chaos hooks with [Obs.Budget] and reads
+(** [install ()] registers the chaos hook with [Obs.Budget] and reads
     [OMEGA_CHAOS]/[OMEGA_CHAOS_RATE] — idempotent; called by [Governor]
     at load so any governed program honours the environment. *)
 val install : unit -> unit

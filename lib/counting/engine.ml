@@ -73,16 +73,16 @@ let m_piece_depth =
 
 exception Unbounded of string
 
-(* The sum-var cell is atomic so concurrent tasks never mint the same
-   name, and swappable per domain (like [Var]'s wild counter) so a
-   long-running server can renumber from %w000001 for every request.
-   The name is zero-padded because [Named] variables compare
-   lexicographically: without padding, "%w10" < "%w9" would make the
-   relative order of two fresh variables depend on the absolute counter
-   values — which differ between serial and parallel schedules — and
-   the engine's variable ordering would diverge. Padded names order by
-   creation time at any counter offset, so every comparison the engine
-   makes is schedule-independent. *)
+(* The sum-var cell is atomic so concurrent domains sharing the default
+   cell never mint the same name, and swappable per domain (like
+   [Var]'s wild counter) so a long-running server can renumber from
+   %w000001 for every request. The name is zero-padded because [Named]
+   variables compare lexicographically: without padding, "%w10" < "%w9"
+   would make the relative order of two fresh variables depend on the
+   absolute counter values — which differ between a fresh request and a
+   process that has counted before — and the engine's variable ordering
+   would diverge. Padded names order by creation time at any counter
+   offset. *)
 let default_sum_var_counter = Atomic.make 0
 
 let sum_var_cell : int Atomic.t ref Domain.DLS.key =
@@ -97,29 +97,6 @@ let fresh_sum_var () =
        (1 + Atomic.fetch_and_add (current_sum_var_counter ()) 1))
 
 let reset_fresh_sum_var () = Atomic.set (current_sum_var_counter ()) 0
-
-(* One ambient hook carries both fresh-name cells (this module's
-   sum-var cell and [Var]'s wild cell — registered here because
-   [Presburger] cannot depend on [Obs]) onto whatever domain executes a
-   pool task, so a request's tasks keep minting from the request's own
-   cells. *)
-let () =
-  Obs.Ambient.register (fun () ->
-      let sv = current_sum_var_counter () in
-      let wc = V.current_counter () in
-      {
-        Obs.Ambient.run =
-          (fun f ->
-            let saved_sv = current_sum_var_counter () in
-            let saved_wc = V.current_counter () in
-            install_sum_var_counter sv;
-            V.install_counter wc;
-            Fun.protect
-              ~finally:(fun () ->
-                install_sum_var_counter saved_sv;
-                V.install_counter saved_wc)
-              f);
-      })
 
 let max_steps = 20_000
 
@@ -189,43 +166,9 @@ let upper_geq v (a, alpha) = A.sub alpha (A.scale a (A.var v))
 
 let remove_var vars v = List.filter (fun u -> not (V.equal u v)) vars
 
-(* ------------------------------------------------------------------ *)
-(* Parallel fan-out support                                            *)
-
-(* Forked tasks mutate a private [stats] record; the parent absorbs them
-   after the join. Field sums are order-independent, so parallel stats
-   equal serial stats exactly. *)
-let absorb_stats into s =
-  into.dnf_clauses <- into.dnf_clauses + s.dnf_clauses;
-  into.bound_splits <- into.bound_splits + s.bound_splits;
-  into.residue_splinters <- into.residue_splinters + s.residue_splinters;
-  into.pieces <- into.pieces + s.pieces
-
-(* Only branches near the root of the recursion are worth a task each:
-   deeper splits are small, and the clause-level fan-out above them has
-   already spread the work across the pool. *)
-let fork_fuel_limit = 3
-
-(* [fork_branches stats fuel n case] evaluates [case 0 … case (n-1)] —
-   each branch writing a [stats] record it is given — and concatenates
-   the results in branch index order. With the pool enabled and shallow
-   [fuel], branches become pool tasks with private stats records; the
-   index-order concatenation makes the result identical to the serial
-   path. *)
-let fork_branches stats fuel n case =
-  if n > 1 && fuel <= fork_fuel_limit && Pool.parallel_enabled () then begin
-    let results =
-      Pool.map_list
-        (fun t ->
-          let st = new_stats () in
-          let r = case t st in
-          (r, st))
-        (List.init n (fun t -> t))
-    in
-    List.iter (fun (_, st) -> absorb_stats stats st) results;
-    Merge.combine (List.map fst results)
-  end
-  else Merge.combine (List.init n (fun t -> case t stats))
+(* [branches n case] evaluates [case 0 … case (n-1)] and concatenates
+   the results in branch index order. *)
+let branches n case = Merge.combine (List.init n case)
 
 (* [ord] is the planner's adaptive-order flag for this clause's subtree:
    set only inside the collapse-safe zone (see [Planner.plan_clause]),
@@ -301,8 +244,8 @@ and convex opts ord stats vars poly clause fuel : Value.t =
         else if ord then
           (* Planner cost model: breaks the static score's bound-pair
              ties toward the cheaper predicted splinter. Pure in the
-             clause, so identical at every jobs level; only reached in
-             the collapse-safe zone where order is rendering-invariant. *)
+             clause; only reached in the collapse-safe zone where order
+             is rendering-invariant. *)
           Planner.pick_var clause vars
         else begin
           let score v =
@@ -337,7 +280,7 @@ and convex opts ord stats vars poly clause fuel : Value.t =
         let n = Array.length arr in
         Obs.Budget.check_fanout n;
         stats.bound_splits <- stats.bound_splits + n - 1;
-        fork_branches stats fuel n (fun t st ->
+        branches n (fun t ->
             let guards = ref [] in
             for j = 0 to n - 1 do
               if j <> t then begin
@@ -349,7 +292,7 @@ and convex opts ord stats vars poly clause fuel : Value.t =
               end
             done;
             let clause' = rebuild arr.(t) !guards in
-            go opts ord st vars poly clause' (fuel + 1))
+            go opts ord stats vars poly clause' (fuel + 1))
       in
       if List.length uppers > 1 then
         split_cases uppers (fun u guards ->
@@ -367,7 +310,7 @@ and convex opts ord stats vars poly clause fuel : Value.t =
         let n = Array.length arr in
         Obs.Budget.check_fanout n;
         stats.bound_splits <- stats.bound_splits + n - 1;
-        fork_branches stats fuel n (fun t st ->
+        branches n (fun t ->
             let guards = ref [] in
             for j = 0 to n - 1 do
               if j <> t then begin
@@ -387,7 +330,7 @@ and convex opts ord stats vars poly clause fuel : Value.t =
                   @ !guards @ rest;
               }
             in
-            go opts ord st vars poly clause' (fuel + 1))
+            go opts ord stats vars poly clause' (fuel + 1))
       end
       else begin
         let [@warning "-8"] [ (b, beta) ] = lowers
@@ -510,9 +453,8 @@ and single_pair opts ord stats vars poly clause fuel v ~rest (b, beta)
                 ("fan_out", Obs.Trace.Int (ai * bi));
               ]);
         (* Branch t covers residue pair (rb, ra) = (t / ai, t mod ai):
-           the same rb-outer, ra-inner order as a serial nested loop, so
-           the index-order join reproduces the serial piece order. *)
-        fork_branches stats fuel (ai * bi) (fun t st ->
+           rb outer, ra inner. *)
+        branches (ai * bi) (fun t ->
             let rb = t / ai and ra = t mod ai in
             begin
                 let zrb = Zint.of_int rb and zra = Zint.of_int ra in
@@ -554,14 +496,14 @@ and single_pair opts ord stats vars poly clause fuel v ~rest (b, beta)
                     strides = strides @ base_clause.strides;
                   }
                 in
-                go opts ord st vars' inner clause' (fuel + 1)
+                go opts ord stats vars' inner clause' (fuel + 1)
             end)
   end
 
 (* Ambient stats installed by [with_instr], so instrumented runs see
    engine counts without threading a [stats] through every caller.
-   Domain-local: concurrent counts from other domains (the pool's, or a
-   caller's own) never share the instrumented domain's record. *)
+   Domain-local: concurrent counts on other domains never share the
+   instrumented domain's record. *)
 let ambient_stats_key : stats option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -585,9 +527,8 @@ let resolve_stats = function
 let m_gf_clauses = Obs.Metrics.counter "engine.gf_clauses"
 let m_gf_fallback = Obs.Metrics.counter "engine.gf_fallback"
 
-(* The per-clause plan: a pure function of the clause, so routing,
-   elimination order and spawn weight are identical at every jobs
-   level. *)
+(* The per-clause plan: a pure function of the clause, so routing and
+   elimination order never depend on what ran before. *)
 let clause_plan opts vs poly c =
   Planner.plan_clause
     ~exact:(opts.strategy = Exact)
@@ -635,10 +576,14 @@ let route_clause ?(opts = default) ~vars poly c =
   let vs = List.map V.named vars in
   if use_gf opts (clause_plan opts vs poly c) then "gf" else "pugh"
 
+let absorb_stats into s =
+  into.dnf_clauses <- into.dnf_clauses + s.dnf_clauses;
+  into.bound_splits <- into.bound_splits + s.bound_splits;
+  into.residue_splinters <- into.residue_splinters + s.residue_splinters;
+  into.pieces <- into.pieces + s.pieces
+
 (* One traced span per disjunct, with per-clause wall time fed to the
-   clause_us histogram. On a pool worker the span lands in that
-   worker's ring; the export merges rings, so the per-clause spans
-   survive parallel runs. *)
+   clause_us histogram. *)
 let clause_task opts vs poly (i, c, d) =
   Obs.Trace.span "clause"
     ~attrs:(fun () ->
@@ -656,11 +601,11 @@ let clause_task opts vs poly (i, c, d) =
       Obs.Trace.add_attr "pieces" (Obs.Trace.Int (List.length r));
       (r, st))
 
-(* The clause fan-out: one pool task per disjunct, each planned once —
-   the plan is both its heavy-first spawn weight and its routing — with
-   a private stats record absorbed after the join. Outcomes come back
-   in clause order, so concatenating the completed ones is the
-   deterministic merge at every jobs level. *)
+(* The clause loop: each disjunct planned once and summed on its own,
+   its outcome captured — [Ok] pieces, or [Error] with the backtrace
+   where it raised — so the governor can assemble a partial answer
+   around a clause that ran out of budget. A clause's counts join
+   [stats] only when it completes. *)
 let clause_sums ?(opts = default) ?stats ~vars cls poly =
   let stats = resolve_stats stats in
   let vs = List.map V.named vars in
@@ -668,14 +613,14 @@ let clause_sums ?(opts = default) ?stats ~vars cls poly =
   Obs.Metrics.observe m_dnf_clauses (List.length cls);
   let planned = List.mapi (fun i c -> (i, c, clause_plan opts vs poly c)) cls in
   Instr.time_phase "sum" (fun () ->
-      Pool.map_results
-        ~weight:(fun (_, _, (d : Planner.decision)) -> d.weight)
-        (clause_task opts vs poly) planned)
-  |> List.map (function
-       | Ok (r, st) ->
-           absorb_stats stats st;
-           Ok r
-       | Error _ as e -> e)
+      List.map
+        (fun task ->
+          match clause_task opts vs poly task with
+          | r, st ->
+              absorb_stats stats st;
+              Ok r
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+        planned)
 
 let simplify_clauses vals =
   Instr.time_phase "simplify" (fun () -> Value.simplify (Merge.combine vals))

@@ -42,12 +42,11 @@ type strategy =
           approximation, as Section 4.2.2 permits *)
 
 (** Counting backend per disjoint clause. Every backend runs under the
-    cost-model planner ({!Planner}: elimination order and heavy-first
-    pool scheduling) with the bounded feasibility pre-filter
-    ({!Omega.Prefilter}) armed; they differ only in which clauses go to
-    the generating-function counter. Answers are byte-identical across
-    backends, and plans are pure functions of each clause, hence
-    identical at every [--jobs] level. *)
+    cost-model planner ({!Planner}: elimination order) with the bounded
+    feasibility pre-filter ({!Omega.Prefilter}) armed; they differ only
+    in which clauses go to the generating-function counter. Answers are
+    byte-identical across backends, and plans are pure functions of
+    each clause. *)
 type backend =
   | Pugh
       (** the splintering summation engine for every clause — an
@@ -144,11 +143,11 @@ val sum_clauses :
     dark-shadow for [Lower]. Runs under the ["dnf"] phase timer. *)
 val to_clauses : ?opts:options -> Presburger.Formula.t -> Omega.Clause.t list
 
-(** [clause_sums] is the engine's one clause fan-out: every clause is
-    planned once (the plan gives both its routing and its heavy-first
-    spawn weight) and summed as its own pool task, under a ["clause"]
-    span that feeds the [engine.clause_us] histogram. Outcomes come back
-    in clause order, unmerged: [Ok v] is the clause's raw piece list,
+(** [clause_sums] is the engine's one clause loop: every clause is
+    planned once (the plan gives its routing) and summed on its own,
+    serially, under a ["clause"] span that feeds the [engine.clause_us]
+    histogram. Outcomes come back in clause order, unmerged: [Ok v] is
+    the clause's raw piece list,
     [Error (exn, backtrace)] a clause that raised — budget exhaustion
     included, so [Counting.Governor] can assemble a partial answer from
     the clauses that completed. Runs under the ["sum"] phase timer. *)
@@ -181,8 +180,7 @@ val route_clause :
     [meta] (e.g. [opts_fields opts]) is recorded verbatim as the report's
     [options], making emitted JSON self-describing. Returns [f]'s result
     with the {!Instr.report}. Not reentrant within one domain (the
-    ambient stats cell is domain-local; pool tasks spawned by [f] carry
-    their own stats records and are absorbed by the engine). *)
+    ambient stats cell is domain-local). *)
 val with_instr :
   ?label:string ->
   ?meta:(string * string) list ->
@@ -193,8 +191,8 @@ val with_instr :
     global {e atomic} counter, so concurrent domains never receive the
     same name. Names are zero-padded (["%w000042"]) so their
     lexicographic order equals creation order regardless of where the
-    counter stands — part of the parallel-equals-serial output
-    guarantee. *)
+    counter stands, so a request's output does not depend on what ran
+    before it. *)
 val fresh_sum_var : unit -> Presburger.Var.t
 
 (** [reset_fresh_sum_var] rewinds the counter so a repeated computation

@@ -499,7 +499,7 @@ let count_clause ~vars (c : C.t) : Zint.t option =
    this clause: the product of the non-unit |coefficients| of summation
    variables in the inequalities and of the stride moduli touching them,
    capped. Deterministic in the clause alone so backend choice is
-   identical across jobs, runs and domains. The threshold calibration
+   identical across runs and domains. The threshold calibration
    comes from the engine.splinter_fanout histogram: clauses that splinter
    at all (fan-out ≥ 2) are where the generating-function backend wins. *)
 let fanout_cap = 64

@@ -32,6 +32,6 @@ val count_clause :
     fan-out the Pugh engine would pay on this clause: the capped product
     of non-unit summation-variable coefficients in the inequalities and
     stride moduli mentioning a summation variable. Deterministic in the
-    clause alone, so the planner makes identical routing choices at
-    every [--jobs] level. *)
+    clause alone, so the planner's routing choices never depend on what
+    ran before. *)
 val estimate_fanout : Presburger.Var.t list -> Omega.Clause.t -> int

@@ -20,7 +20,6 @@ type reason = Obs.Budget.reason =
   | Fanout
   | Clauses
   | Cancelled
-  | Injected
 
 let reason_name = Obs.Budget.reason_name
 
@@ -131,20 +130,11 @@ let sum ?(budget = unlimited) ?ctrl ?(opts = Engine.default) ?stats ~vars f
       Complete (Engine.simplify_clauses (List.filter_map Result.to_option per))
   | `Clauses (total, per) ->
       let vals = List.filter_map Result.to_option per in
+      (* Every trip latches its reason before raising it, so the first
+         failed clause carries the run's one reason. *)
       let reason =
-        (* The latched first reason when the budget tripped globally; an
-           isolated injected task kill latches nothing, so fall back to
-           the first per-clause reason in clause order. *)
-        match Obs.Budget.tripped ctrl with
-        | Some r -> r
-        | None -> (
-            match
-              List.find_map
-                (function Error r -> Some r | Ok _ -> None)
-                per
-            with
-            | Some r -> r
-            | None -> assert false)
+        List.find_map (function Error r -> Some r | Ok _ -> None) per
+        |> Option.get
       in
       mk_partial ~clauses_done:(List.length vals) ~clauses_total:total ~reason
         vals

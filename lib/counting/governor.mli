@@ -4,7 +4,7 @@
     Omega-style simplification is worst-case super-exponential
     (splintering, DNF expansion), so a long-running service cannot just
     call [Engine.sum] on untrusted input: a pathological query would
-    hang a domain, or the whole pool. [Governor.sum] runs the same
+    hang a domain. [Governor.sum] runs the same
     engine under a {!budget} — wall-clock deadline, step fuel, splinter
     fan-out cap, live-clause cap — checked cooperatively at the engine's
     existing instrumentation points, and {e degrades instead of
@@ -25,14 +25,12 @@
     is not guaranteed below the total).
 
     One governed query runs at a time per {e domain} (like
-    [Engine.with_instr]); omegad runs one per handler domain
-    concurrently over the shared worker pool, which survives exhaustion
-    and is immediately reusable.
+    [Engine.with_instr]), serially; omegad runs one per handler domain
+    concurrently.
 
-    Budget activity surfaces as [budget.trips], [budget.fuel_used] and
-    [pool.cancelled_tasks] in {!Obs.Metrics} (so [--stats] and traces
-    pick it up), and exhaustion emits a ["budget.trip"] trace instant
-    carrying the reason. *)
+    Budget activity surfaces as [budget.trips] and [budget.fuel_used] in
+    {!Obs.Metrics} (so [--stats] and traces pick it up), and exhaustion
+    emits a ["budget.trip"] trace instant carrying the reason. *)
 
 type budget = {
   deadline_ms : int option;  (** wall-clock deadline, milliseconds *)
@@ -54,7 +52,6 @@ type reason = Obs.Budget.reason =
   | Fanout
   | Clauses
   | Cancelled
-  | Injected
 
 val reason_name : reason -> string
 

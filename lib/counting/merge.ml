@@ -110,11 +110,10 @@ let transferable ~stride ~from_guard ~to_guard ~value =
 (* ------------------------------------------------------------------ *)
 (* Deterministic fan-out reduction *)
 
-(* The reduction the engine uses to merge per-task results back into one
-   value. Concatenation in input order: since [Value.t] denotes the sum
-   of its pieces, any concatenation order denotes the same function, but
-   fixing input order makes the parallel engine's output byte-identical
-   to the serial engine's. *)
+(* The reduction the engine uses to merge per-clause and per-branch
+   results back into one value. Concatenation in input order: since
+   [Value.t] denotes the sum of its pieces, any concatenation order
+   denotes the same function, and input order fixes the bytes. *)
 let combine (parts : Value.t list) : Value.t = List.concat parts
 
 let compare_piece (a : Value.piece) (b : Value.piece) =

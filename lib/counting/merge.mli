@@ -23,12 +23,11 @@ val max_period : int
 
 (** {1 Deterministic fan-out reduction} *)
 
-(** [combine parts] merges per-task partial values back into one value by
-    concatenating them in input (task-index) order. Since a {!Value.t}
-    denotes the sum of its pieces, [combine] is associative and
-    order-insensitive {e as a function}; fixing input order additionally
-    makes the parallel engine's output byte-identical to the serial
-    engine's. *)
+(** [combine parts] merges per-clause or per-branch partial values back
+    into one value by concatenating them in input order. Since a
+    {!Value.t} denotes the sum of its pieces, [combine] is associative
+    and order-insensitive {e as a function}; input order fixes the
+    bytes. *)
 val combine : Value.t list -> Value.t
 
 (** A canonical form for comparing values up to piece order:

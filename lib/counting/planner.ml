@@ -93,7 +93,6 @@ type decision = {
   use_gf : bool;
   predicted_fanout : int;
   rows : int;
-  weight : int;
 }
 
 let order (c : C.t) vars =
@@ -119,8 +118,7 @@ let plan_clause ~exact ~const_poly ~vars (c : C.t) =
   let safe = exact && const_poly && concrete in
   let use_gf = safe && predicted_fanout >= 2 in
   let adaptive_order = safe in
-  let weight = mul_capped (max 1 rows) (1 + min predicted_fanout 1024) in
-  { concrete; adaptive_order; use_gf; predicted_fanout; rows; weight }
+  { concrete; adaptive_order; use_gf; predicted_fanout; rows }
 
 let explain ~exact ~const_poly ~vars cls =
   let buf = Buffer.create 256 in
@@ -136,13 +134,13 @@ let explain ~exact ~const_poly ~vars cls =
       let backend = if d.use_gf then "gf" else "pugh" in
       Buffer.add_string buf
         (Printf.sprintf
-           "  clause %d: rows=%d fanout~%d backend=%s order=%s weight=%d \
+           "  clause %d: rows=%d fanout~%d backend=%s order=%s \
             concrete=%b adaptive_order=%b\n"
            i d.rows d.predicted_fanout backend
            (match order with
            | [] -> "[]"
            | o -> "[" ^ String.concat " " (List.map V.to_string o) ^ "]")
-           d.weight d.concrete d.adaptive_order);
+           d.concrete d.adaptive_order);
       List.iter
         (fun v ->
           let pairs, splinter, nonunit = var_score c v in

@@ -7,14 +7,14 @@
     counts, coefficient magnitudes, the predicted residue-splinter
     fan-out of Pugh's exact-shadow condition (the
     {!Gfcount.estimate_fanout} family), stride density — and produces a
-    per-clause {!decision}: which backend to run, which variable to
-    eliminate next, and a scheduling weight for the pool. The planner is
+    per-clause {!decision}: which backend to run and which variable to
+    eliminate next. The planner is
     the engine's only pipeline and, under the default [backend = Auto],
     its only router to the generating-function backend.
 
     {b Determinism.} Every function here is a pure function of the
     clause (and the planner inputs [exact] / [const_poly] / [vars]), so
-    plans are byte-identical at every [--jobs] level.
+    plans never depend on what ran before.
 
     {b Byte-identity.} A decision may only take actions whose final
     rendering provably equals the plain path's (the engine's static
@@ -24,8 +24,7 @@
     reordering eliminations {e within} such a clause (every leaf guard is
     closed, so the pieces still collapse to one constant), pruning
     provably infeasible work (dropped downstream by
-    [Solve.is_feasible]-based filters), and reordering pool {e spawns}
-    while results merge in input order. [plan_clause] encodes exactly
+    [Solve.is_feasible]-based filters). [plan_clause] encodes exactly
     these side conditions. *)
 
 type decision = {
@@ -45,9 +44,6 @@ type decision = {
           coefficients and stride moduli — the residue splinters the
           Pugh engine would pay *)
   rows : int;  (** constraint count of the clause *)
-  weight : int;
-      (** deterministic scheduling weight (heavier = start earlier on
-          the pool): rows scaled by predicted fan-out *)
 }
 
 (** [plan_clause ~exact ~const_poly ~vars c]: the adaptive plan for one

@@ -2,7 +2,7 @@
     bench's certify pass share.
 
     Pugh's answer is a sum over the clauses of a disjoint DNF, each
-    summed on its own and then merged, so a query has one fan-out point
+    summed on its own and then merged, so a query has one clause loop
     ({!Engine.clause_sums}, reached through {!Governor.sum}) and
     everything after it is the same for every front end: residue merge,
     certificate and report card. Front ends keep only their own

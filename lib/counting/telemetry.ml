@@ -62,7 +62,6 @@ type clause_info = {
   backend : string;
   predicted_fanout : int;
   order : string list;
-  weight : int;
 }
 
 type card = {
@@ -90,7 +89,6 @@ let clause_infos ~opts ~vars ~summand cls =
         backend = Engine.route_clause ~opts ~vars summand c;
         predicted_fanout = d.Planner.predicted_fanout;
         order = List.map V.to_string (Planner.order c vs);
-        weight = d.Planner.weight;
       })
     cls
 
@@ -134,7 +132,6 @@ let clause_json ci =
       ("backend", J.Str ci.backend);
       ("predicted_fanout", J.int ci.predicted_fanout);
       ("order", J.Arr (List.map (fun v -> J.Str v) ci.order));
-      ("weight", J.int ci.weight);
     ]
 
 let to_ojson card =
@@ -251,9 +248,7 @@ let () = Obs.Shutdown.register Obs.Shutdown.Telemetry_close close
 (* Ambient context                                                     *)
 
 (* Domain-local, like [Obs.Budget.current]: each request labels its own
-   post-mortems without clobbering a concurrent request's context.
-   Carried onto pool workers by the ambient capture for completeness,
-   though bundles are assembled on the request's own handler domain. *)
+   post-mortems without clobbering a concurrent request's context. *)
 let context : (string * string) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
@@ -356,28 +351,3 @@ let flush_postmortem ?card () =
    runs in the Postmortem slot, before the telemetry sink closes. *)
 let () =
   Obs.Shutdown.register Obs.Shutdown.Postmortem (fun () -> flush_postmortem ())
-
-(* The ambient capture carries the request's context and pending cells
-   onto pool workers, so a worker-side [request_postmortem] (e.g. from a
-   governed helper) lands in the owning request's cells. *)
-let () =
-  Obs.Ambient.register (fun () ->
-      let ctx = Domain.DLS.get context in
-      let pend = Domain.DLS.get pending in
-      {
-        Obs.Ambient.run =
-          (fun f ->
-            let cctx = Domain.DLS.get context
-            and cpend = Domain.DLS.get pending in
-            let saved_ctx = !cctx and saved_pend = !cpend in
-            cctx := !ctx;
-            cpend := !pend;
-            Fun.protect
-              ~finally:(fun () ->
-                (* Propagate a worker-recorded trigger back to the
-                   submitting request's cell. *)
-                if !cpend <> None && !pend = None then pend := !cpend;
-                cctx := saved_ctx;
-                cpend := saved_pend)
-              f);
-      })

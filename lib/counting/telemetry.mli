@@ -10,8 +10,8 @@
     and the {!outcome}. Cards are assembled {e after} the answer run
     from pure re-computations ({!Engine.route_clause},
     {!Planner.plan_clause}) and already-collected deltas, so enabling
-    telemetry never changes answers — the byte-identity battery holds
-    at every jobs level, and disabled telemetry costs nothing (the
+    telemetry never changes answers — the byte-identity battery checks
+    this — and disabled telemetry costs nothing (the
     alloc-guard test covers the E6 run).
 
     Post-mortem bundles dump the flight-recorder tail ({!Obs.Flight}),
@@ -34,7 +34,6 @@ type clause_info = {
   backend : string;  (** ["gf"] / ["pugh"], per {!Engine.route_clause} *)
   predicted_fanout : int;
   order : string list;  (** planner elimination order (cost-model view) *)
-  weight : int;  (** planner scheduling weight *)
 }
 
 type card = {
@@ -54,7 +53,7 @@ val clause_cap : int
 
 (** [fingerprint ~vars ~summand f]: a deterministic structural hash of
     the whole query (bound variables, summand, formula) rendered as 16
-    hex digits. Stable across runs and jobs levels for source-named
+    hex digits. Stable across runs for source-named
     formulas (wildcard names minted during solving never appear in the
     input formula). *)
 val fingerprint :

@@ -1,18 +1,14 @@
 (* Ambient resource budget — see budget.mli.
 
    The control block is domain-local: each request (one handler domain
-   in omegad, or the whole process in omcount) installs its own, and
-   pool tasks inherit the submitter's via the ambient capture in
-   [Pool.spawn] — so a request charges its own fuel and trips on its
-   own, whichever domains run its tasks. omegad's handlers never fan
-   out, so there a ctrl stays on one domain. All state a checkpoint
-   touches is atomic, because in a fanned-out query a ctrl is shared
-   across every domain running that request's tasks: fuel is a shared
-   countdown, the cancel token is the cross-domain stop signal, and
-   [tripped_r] latches the FIRST reason so every domain reports the
-   same cause no matter which limit it noticed. *)
+   in omegad, or the whole process in omcount) installs its own and runs
+   serially on that domain, so a request charges its own fuel and trips
+   on its own. The cancel token and the latched reason are atomic
+   because [cancel] comes from another domain (omegad's reader cancels
+   in-flight requests on shutdown); [tripped_r] latches the FIRST
+   reason, so every later checkpoint reports the same cause. *)
 
-type reason = Deadline | Fuel | Fanout | Clauses | Cancelled | Injected
+type reason = Deadline | Fuel | Fanout | Clauses | Cancelled
 
 let reason_name = function
   | Deadline -> "deadline"
@@ -20,7 +16,6 @@ let reason_name = function
   | Fanout -> "fanout"
   | Clauses -> "clauses"
   | Cancelled -> "cancelled"
-  | Injected -> "injected"
 
 exception Exhausted of reason
 
@@ -63,22 +58,8 @@ let current : ctrl option ref Domain.DLS.key =
 
 let active () = !(Domain.DLS.get current)
 
-let () =
-  Ambient.register (fun () ->
-      let captured = active () in
-      {
-        Ambient.run =
-          (fun f ->
-            let cell = Domain.DLS.get current in
-            let saved = !cell in
-            cell := captured;
-            Fun.protect ~finally:(fun () -> cell := saved) f);
-      })
-
 let chaos_hook : (unit -> reason option) option Atomic.t = Atomic.make None
-let chaos_task_hook : (unit -> bool) option Atomic.t = Atomic.make None
 let set_chaos_hook h = Atomic.set chaos_hook h
-let set_chaos_task_hook h = Atomic.set chaos_task_hook h
 
 let m_trips = Metrics.counter "budget.trips"
 let m_fuel_used = Metrics.counter "budget.fuel_used"
@@ -89,14 +70,14 @@ let fuel_used c =
   match c.fuel0 with
   | None -> 0
   | Some f0 ->
-      (* over-decrement past zero is possible when several domains trip
-         together; clamp to the allowance *)
+      (* the charge that trips decrements past zero; clamp to the
+         allowance *)
       let used = f0 - Atomic.get c.fuel in
       if used < 0 then 0 else if used > f0 then f0 else used
 
-(* Latch the first reason, raise the cancel flag so every other domain
-   stops at its own next checkpoint, and unwind. Later trips re-raise
-   the latched reason, so the whole run reports one cause. *)
+(* Latch the first reason, raise the cancel flag, and unwind. Later
+   trips re-raise the latched reason, so the whole run reports one
+   cause. *)
 let trip c r =
   let first = Atomic.compare_and_set c.tripped_r None (Some r) in
   Atomic.set c.cancelled true;
@@ -156,22 +137,6 @@ let check_clauses n =
   | Some c ->
       poll c;
       if n > c.max_clauses then trip c Clauses
-
-let task_interrupt () =
-  match active () with
-  | None -> None
-  | Some c -> (
-      match Atomic.get c.tripped_r with
-      | Some r -> Some r
-      | None ->
-          if Atomic.get c.cancelled then Some Cancelled
-          else
-            (* An injected task kill fails just that task; it does not
-               latch a trip, so sibling tasks keep running and the
-               governed caller degrades to a Partial around the hole. *)
-            (match Atomic.get chaos_task_hook with
-            | Some h when h () -> Some Injected
-            | _ -> None))
 
 let with_ctrl c f =
   let cell = Domain.DLS.get current in

@@ -10,8 +10,7 @@
     at the points where work is created (one fuel unit per elimination
     query, engine reduction step, feasibility probe, …); when any limit
     trips, the first reason is recorded, the cancel token is set so
-    every domain stops at its own next checkpoint, and {!Exhausted} is
-    raised.
+    every later checkpoint re-raises it, and {!Exhausted} is raised.
 
     When no control block is installed — the default — every check is a
     single [Atomic.get] and nothing can be raised, so ungoverned runs
@@ -28,7 +27,6 @@ type reason =
   | Fanout  (** a single splinter would exceed the fan-out cap *)
   | Clauses  (** a DNF expansion exceeded the live-clause cap *)
   | Cancelled  (** cancelled explicitly by the caller *)
-  | Injected  (** a fault injected by the chaos harness *)
 
 val reason_name : reason -> string
 
@@ -58,17 +56,15 @@ val make :
     runs [f], and uninstalls it (also on exception). Only one control
     block is active per domain at a time; nesting installs are a
     programming error (each domain runs one governed query at a time,
-    like [Engine.with_instr]). Pool tasks spawned under [f] inherit [c]
-    on whatever domain executes them, via the {!Ambient} capture — so
-    concurrent requests on separate domains charge separate budgets,
-    even when their tasks share the worker pool. The
+    like [Engine.with_instr]), and the engine runs it serially there, so
+    concurrent requests on separate domains charge separate budgets. The
     [budget.fuel_used] counter is credited on uninstall. *)
 val with_ctrl : ctrl -> (unit -> 'a) -> 'a
 
 (** The calling domain's installed control block, if any. *)
 val active : unit -> ctrl option
 
-(** [cancel c] requests cancellation: every domain raises
+(** [cancel c] requests cancellation: the domain running [c] raises
     [Exhausted Cancelled] at its next checkpoint. Idempotent; safe from
     any domain. *)
 val cancel : ctrl -> unit
@@ -94,19 +90,11 @@ val check_fanout : int -> unit
     [n] exceeds the cap. *)
 val check_clauses : int -> unit
 
-(** [task_interrupt ()] is polled by the worker pool when it is about to
-    start a task: [Some r] means the task should not run and should fail
-    with [Exhausted r] instead (budget already tripped, or the chaos
-    harness decided to kill this task). [None] when ungoverned. *)
-val task_interrupt : unit -> reason option
-
 (** {1 Chaos hooks}
 
     The fault-injection harness ([Counting.Chaos]) installs these; they
     are only consulted while a control block is active, so ungoverned
     code never pays for (or suffers) injection. The checkpoint hook may
-    return a reason to trip the active budget; the task hook decides
-    whether the pool should kill a task it is about to start. *)
+    return a reason to trip the active budget. *)
 
 val set_chaos_hook : (unit -> reason option) option -> unit
-val set_chaos_task_hook : (unit -> bool) option -> unit

@@ -1,6 +1,6 @@
 (** The flight recorder: a small, always-on, process-global bounded ring
     of notable events — plan decisions, governor trips, chaos
-    injections, worker task starts. Unlike {!Trace} (opt-in, hot-path,
+    injections. Unlike {!Trace} (opt-in, hot-path,
     per-domain) this ring is for {e rare} events and is meant to be read
     after something went wrong: a post-mortem bundle
     ([Counting.Telemetry.write_postmortem]) dumps its tail alongside the

@@ -26,9 +26,12 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(** Deepest array/object nesting {!parse} accepts (512). *)
+val max_depth : int
+
 (** Parse one complete JSON value; trailing non-whitespace is an error.
-    [Error msg] carries a character offset. Nesting deeper than an
-    internal cap (512 levels) is an [Error], not a stack overflow. *)
+    [Error msg] carries a character offset. Nesting deeper than
+    {!max_depth} is an [Error], not a stack overflow. *)
 val parse : string -> (t, string) result
 
 (** Render to compact JSON (no whitespace). Integral [Num]s print

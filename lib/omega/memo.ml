@@ -141,18 +141,6 @@ let epoch_cell : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let current_epoch () = !(Domain.DLS.get epoch_cell)
 let set_epoch e = Domain.DLS.get epoch_cell := e
 
-let () =
-  Obs.Ambient.register (fun () ->
-      let captured = current_epoch () in
-      {
-        Obs.Ambient.run =
-          (fun f ->
-            let cell = Domain.DLS.get epoch_cell in
-            let saved = !cell in
-            cell := captured;
-            Fun.protect ~finally:(fun () -> cell := saved) f);
-      })
-
 (* ------------------------------------------------------------------ *)
 (* Bounded LRU tables                                                  *)
 

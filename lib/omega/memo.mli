@@ -70,8 +70,7 @@ val clear_all : unit -> unit
     removes the entry). The process default is epoch 0 — standalone
     tools never call {!set_epoch} and keep full cross-query reuse. *)
 
-(** The calling domain's current epoch (0 unless a server set one).
-    Propagated to pool workers by the [Obs.Ambient] capture. *)
+(** The calling domain's current epoch (0 unless a server set one). *)
 val current_epoch : unit -> int
 
 (** [set_epoch e] makes [e] the calling domain's epoch. The caller is

@@ -11,11 +11,9 @@ let verdict_name = function
   | Unknown -> "unknown"
 
 (* Armed by default. Domain-local, like [Obs.Budget.current], because
-   [Dnf] disarms it for negated subtrees: pool worker domains observe
-   the submitting task's arming through the [Obs.Ambient] capture in
-   [Pool.spawn], and a disarmed subtree on one domain never disarms a
-   concurrent request on another (such as another omegad handler,
-   each of which runs its request serially). *)
+   [Dnf] disarms it for negated subtrees: a disarmed subtree on one
+   domain never disarms a concurrent request on another (such as
+   another omegad handler). *)
 let armed_flag : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref true)
 let armed () = !(Domain.DLS.get armed_flag)
 
@@ -24,18 +22,6 @@ let with_armed b f =
   let saved = !cell in
   cell := b;
   Fun.protect ~finally:(fun () -> cell := saved) f
-
-let () =
-  Obs.Ambient.register (fun () ->
-      let captured = armed () in
-      {
-        Obs.Ambient.run =
-          (fun f ->
-            let cell = Domain.DLS.get armed_flag in
-            let saved = !cell in
-            cell := captured;
-            Fun.protect ~finally:(fun () -> cell := saved) f);
-      })
 
 let m_probes = Obs.Metrics.counter "planner.probes"
 let m_refuted = Obs.Metrics.counter "planner.probe_refuted"

@@ -35,16 +35,16 @@
     [Solve.is_feasible]-based filtering or [Value.simplify].
 
     {b Determinism.} Verdicts and intervals are pure functions of the
-    clause, independent of schedule, domain count, and memo state — the
-    planner's requirement that plans be identical at every [--jobs].
+    clause, independent of domain and memo state — the planner's
+    requirement that plans never depend on what ran before.
 
     {b Arming.} The filter is armed by default. {!Dnf} disarms it with
     {!with_armed} for [Not] and [Forall] subtrees, where dropping an
     infeasible disjunct of the negand would change the complement's
     syntax; the solver's elimination memo salts its key with the bit so
-    the two modes never share entries. The flag is domain-local and
-    carried to pool tasks by [Obs.Ambient], so a disarmed subtree never
-    affects a concurrent computation. Each probe charges one
+    the two modes never share entries. The flag is domain-local, so a
+    disarmed subtree never affects a concurrent computation on another
+    domain. Each probe charges one
     {!Obs.Budget} fuel unit (plus one per enumeration chunk), so
     governed budgets account pre-filter work like any other solver
     step. *)

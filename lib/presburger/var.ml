@@ -4,16 +4,11 @@ let named s = Named s
 
 (* Wild ids come from a counter cell that is atomic (concurrent domains
    minting from the same cell never collide; ids from one cell are
-   monotonic, which keeps the *relative* order of wilds created within
-   one task identical to a serial run — and [compare] below only ever
-   observes relative order) and *swappable per domain*: a long-running
+   monotonic — and [compare] below only ever observes relative order) and *swappable per domain*: a long-running
    server installs a fresh cell per request so each request numbers its
    wilds from 1 regardless of what ran before, making answers and
    certificates byte-identical across repeats. The default cell is
-   process-global, so standalone tools behave exactly as before. This
-   module cannot see [Obs]; the ambient propagation hook that carries
-   the installed cell onto pool worker domains lives in
-   [Counting.Engine]. *)
+   process-global, so standalone tools behave exactly as before. *)
 let default_counter = Atomic.make 0
 
 let counter_cell : int Atomic.t ref Domain.DLS.key =

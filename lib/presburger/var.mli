@@ -28,8 +28,7 @@ val reset_fresh : unit -> unit
     A long-running server installs a fresh cell per request so wild
     numbering restarts at [$1] for every request (required for
     byte-identical repeated answers), while clauses from different
-    requests never mix. The installation is per-domain; propagating it
-    to pool workers is the caller's job (see [Obs.Ambient]). *)
+    requests never mix. The installation is per-domain. *)
 
 (** A fresh counter cell starting at 0. *)
 val new_counter : unit -> int Atomic.t

@@ -4,9 +4,8 @@
     state: fresh-name counters (wildcards, sum vars), the solver memo
     (whose values embed minted wildcard names), telemetry context, and
     the budget control block are all per-request. {!with_request}
-    installs fresh instances of each on the calling domain — pool tasks
-    the request spawns inherit them through [Obs.Ambient] capture — and
-    restores the previous ones on exit, so repeated identical requests
+    installs fresh instances of each on the calling domain, where the
+    request runs serially, and restores the previous ones on exit, so repeated identical requests
     produce byte-identical answers, certificates, and fingerprints no
     matter what ran in between.
 

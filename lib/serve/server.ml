@@ -181,10 +181,6 @@ let answer_body t (req : Proto.query_req) =
 let handler_minor_heap_words = 131_072
 
 let handler_loop t =
-  (* One domain per core: requests run in parallel across handlers, each
-     serially on its own, so the clause and splinter fan-outs never
-     start a pool that would compete with the other handlers. *)
-  Counting.Pool.set_domain_serial ();
   Gc.set { (Gc.get ()) with minor_heap_size = handler_minor_heap_words };
   let rec loop () =
     match Admission.take t.queue with
@@ -247,30 +243,43 @@ let dispatch t conn line =
                  (Proto.error_body ~cls:"unavailable"
                     ~msg:"server is shutting down")))
 
-(* Pull complete lines out of a connection's accumulator. *)
+let max_line_bytes = 1 lsl 20
+
+let reject_long_line conn =
+  Obs.Metrics.incr m_errors;
+  send_line conn
+    (Proto.with_id J.Null
+       (Proto.error_body ~cls:"bad_request"
+          ~msg:(Printf.sprintf "request line longer than %d bytes" max_line_bytes)))
+
+(* Pull complete lines out of a connection's accumulator. [false] when a
+   line, complete or not, is longer than [max_line_bytes]. *)
 let drain_lines t conn =
   let s = Buffer.contents conn.rbuf in
-  let n = String.length s in
-  let start = ref 0 in
-  (try
-     while true do
-       let nl = String.index_from s !start '\n' in
-       dispatch t conn (String.sub s !start (nl - !start));
-       start := nl + 1
-     done
-   with Not_found -> ());
-  if !start > 0 then begin
-    Buffer.clear conn.rbuf;
-    Buffer.add_substring conn.rbuf s !start (n - !start)
-  end
+  let rec next start =
+    match String.index_from_opt s start '\n' with
+    | Some nl when nl - start <= max_line_bytes ->
+        dispatch t conn (String.sub s start (nl - start));
+        next (nl + 1)
+    | Some _ -> false
+    | None ->
+        let rest = String.length s - start in
+        if start > 0 then begin
+          Buffer.clear conn.rbuf;
+          Buffer.add_substring conn.rbuf s start rest
+        end;
+        rest <= max_line_bytes
+  in
+  next 0
 
+(* [false] when the connection is done: the peer closed it, or it sent
+   an over-long line (answered with one [bad_request] first). *)
 let read_chunk t conn =
   match Unix.read conn.fd t.chunk 0 (Bytes.length t.chunk) with
   | 0 -> false
   | n ->
       Buffer.add_subbytes conn.rbuf t.chunk 0 n;
-      drain_lines t conn;
-      true
+      drain_lines t conn || (reject_long_line conn; false)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
 

@@ -27,10 +27,8 @@
     drains cleanly.
 
     {b Scheduling}: one domain per core. Requests run in parallel
-    across handler domains and serially on each
-    ({!Counting.Pool.set_domain_serial}); the server never starts the
-    counting pool, whatever [OMEGA_JOBS] says. Answers are the same
-    bytes at every jobs level, so only throughput depends on this. *)
+    across handler domains and serially on each, as the counting engine
+    always runs. *)
 
 type config = {
   socket_path : string;
@@ -48,6 +46,12 @@ type config = {
 }
 
 val default_config : config
+
+(** Longest request line accepted, in bytes (1 MiB). A connection that
+    sends a longer line, or this many bytes without a newline, gets one
+    [bad_request] response with a [null] id and is closed; other
+    connections are unaffected. *)
+val max_line_bytes : int
 
 (** [run ~config ()] binds the socket and serves until a stop signal or
     a [shutdown] request, then drains and removes the socket. Installs

@@ -32,7 +32,7 @@ let example6_formula =
    free-standing word ceilings: the failure message then reports how far
    the measurement drifted, and retuning after an intentional change
    means re-measuring one number instead of re-deriving a ceiling with
-   guessed headroom. Baselines are the cold jobs=1 figures for this
+   guessed headroom. Baselines are the cold-cache figures for this
    revision; 1.75x still comfortably rejects the ~2.2x pre-fast-path
    behaviour (~160k words on Example 6) while leaving room for benign
    engine evolution. *)
@@ -48,13 +48,6 @@ let guard_ratio ~label ~baseline words =
       words ratio baseline max_ratio
 
 let test_example6_minor_words () =
-  (* Pin jobs = 1: with a pool enabled the fan-out path allocates task
-     futures on this domain while the work (and its allocation) lands on
-     other domains, making the reading meaningless either way. *)
-  let saved_jobs = Counting.Pool.jobs () in
-  Counting.Pool.set_jobs 1;
-  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved_jobs)
-  @@ fun () ->
   (* Warm-up absorbs one-time costs (lazy initializers, weak-table
      growth); clearing the memo tables afterwards makes the measured run
      a cold-cache query like the benchmark's. *)
@@ -88,10 +81,6 @@ let example4_formula =
        ])
 
 let test_example4_gf_minor_words () =
-  let saved_jobs = Counting.Pool.jobs () in
-  Counting.Pool.set_jobs 1;
-  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved_jobs)
-  @@ fun () ->
   let opts = { E.default with backend = E.Gf } in
   ignore (E.count ~opts ~vars:[ "x" ] example4_formula);
   Omega.Memo.clear_all ();
@@ -110,10 +99,6 @@ let test_example4_gf_minor_words () =
    deterministic, so the comparison against the plain run needs only a
    whisker of slack for logger/teardown residue on this domain. *)
 let test_disabled_telemetry_zero_alloc () =
-  let saved_jobs = Counting.Pool.jobs () in
-  Counting.Pool.set_jobs 1;
-  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved_jobs)
-  @@ fun () ->
   ignore (E.count ~vars:[ "i"; "j" ] example6_formula);
   Omega.Memo.clear_all ();
   let before = Gc.minor_words () in
@@ -144,10 +129,6 @@ let test_disabled_telemetry_zero_alloc () =
    exactly what it did before — a disarmed hook that builds snapshots or
    events speculatively would show up here. *)
 let test_disabled_cert_zero_alloc () =
-  let saved_jobs = Counting.Pool.jobs () in
-  Counting.Pool.set_jobs 1;
-  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved_jobs)
-  @@ fun () ->
   ignore (E.count ~vars:[ "i"; "j" ] example6_formula);
   Omega.Memo.clear_all ();
   let before = Gc.minor_words () in

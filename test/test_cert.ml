@@ -9,22 +9,20 @@
      bound rewritten, summand perturbed, Farkas multiplier negated) makes
      the checker reject.
    - Degradation: under the governor's chaos battery (injected fuel /
-     deadline / task-kill faults at jobs 1 and 4), Partial certificates
+     deadline faults), Partial certificates
      validate — the sound lower bound and the relaxation upper bound both
      replay, and they bracket the brute-force truth.
    - Robustness: [Obs.Ojson.parse] never raises on adversarial input and
      parse ∘ render is the identity on the certificate schema.
 
    Arming the recorder must also be observationally silent: the answer
-   with certification on is byte-identical to the answer with it off, at
-   every jobs level. *)
+   with certification on is byte-identical to the answer with it off. *)
 
 module F = Presburger.Formula
 module A = Presburger.Affine
 module V = Presburger.Var
 module E = Counting.Engine
 module G = Counting.Governor
-module Pool = Counting.Pool
 module Chaos = Counting.Chaos
 module Certify = Counting.Certify
 module J = Obs.Ojson
@@ -32,11 +30,6 @@ module Td = Test_differential
 
 let k n = A.of_int n
 let av s = A.var (V.named s)
-
-let with_jobs jobs f =
-  let saved = Pool.jobs () in
-  Pool.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
 
 let ats_of env = [ List.map (fun (n, x) -> (n, Zint.of_int x)) env ]
 
@@ -111,8 +104,8 @@ let test_corpus_block lo () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Arming the recorder never changes the answer, at any jobs level;
-   and the certificate itself is deterministic across jobs levels.      *)
+(* Arming the recorder never changes the answer, and the certificate
+   itself is deterministic across repeated runs.                        *)
 
 let test_certify_observational () =
   List.iter
@@ -130,26 +123,14 @@ let test_certify_observational () =
         in
         (Counting.Value.to_string value, J.render cert)
       in
-      let baseline = with_jobs 1 run_plain in
-      let cert_at_jobs1 = ref "" in
-      List.iter
-        (fun jobs ->
-          with_jobs jobs (fun () ->
-              let plain = run_plain () in
-              let certified, cert = run_certified () in
-              Alcotest.(check string)
-                (Printf.sprintf "seed %d jobs=%d answer unchanged" seed jobs)
-                plain certified;
-              Alcotest.(check string)
-                (Printf.sprintf "seed %d jobs=%d matches jobs=1" seed jobs)
-                baseline plain;
-              if jobs = 1 then cert_at_jobs1 := cert
-              else
-                Alcotest.(check string)
-                  (Printf.sprintf "seed %d certificate deterministic at jobs=%d"
-                     seed jobs)
-                  !cert_at_jobs1 cert))
-        [ 1; 4 ])
+      let plain = run_plain () in
+      let certified, cert = run_certified () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d answer unchanged" seed)
+        plain certified;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d certificate deterministic" seed)
+        cert (snd (run_certified ())))
     [ 17; 42; 301 ]
 
 (* ------------------------------------------------------------------ *)
@@ -301,60 +282,57 @@ let check_bracket ~label ~truth (s : Certcheck.summary) =
       | _ -> ())
     s.Certcheck.evals
 
-let chaos_cert_property ~jobs n =
-  with_jobs jobs (fun () ->
-      let case = Td.gen_case (n mod 150) in
-      Chaos.set None;
+let chaos_cert_property n =
+  let case = Td.gen_case (n mod 150) in
+  Chaos.set None;
+  Td.reset_world ();
+  let truth = Td.brute case in
+  List.iteri
+    (fun i (sname, strategy) ->
+      let label = Printf.sprintf "chaos-cert n=%d [%s]" n sname in
+      let opts = { E.default with strategy } in
       Td.reset_world ();
-      let truth = Td.brute case in
-      List.iteri
-        (fun i (sname, strategy) ->
-          let label = Printf.sprintf "chaos-cert jobs=%d n=%d [%s]" jobs n sname in
-          let opts = { E.default with strategy } in
-          Td.reset_world ();
-          Chaos.set ~rate:5 (Some ((n * 4) + i));
-          let before = Chaos.injections () in
-          let (outcome, events, dropped) =
-            Fun.protect
-              ~finally:(fun () -> Chaos.set None)
-              (fun () ->
-                Certify.with_recording (fun () ->
-                    G.count ~opts ~vars:case.Td.vars case.Td.formula))
-          in
-          incr chaos_total_runs;
-          if Chaos.injections () > before then incr chaos_injected_runs;
-          (match outcome with
-          | G.Partial _ -> incr chaos_partials
-          | G.Complete _ -> ());
-          let cert =
-            Certify.build ~opts ~vars:case.Td.vars ~summand:Qpoly.one
-              ~query:label ~ats:(ats_of case.Td.env) ~outcome
-              ~events ~dropped case.Td.formula
-          in
-          let cert = reparse cert in
-          match Certcheck.check_exact cert with
-          | Certcheck.Accepted s ->
-              (* Partial bounds that replayed must also bracket the
-                 truth — soundness of what was certified, not just
-                 internal consistency. (Complete outcomes under Upper /
-                 Lower strategies are deliberate approximations, so only
-                 partial entries carry bracketing claims.) *)
-              if s.Certcheck.status = "partial" then
-                check_bracket ~label ~truth s
-          | Certcheck.Rejected msg ->
-              Alcotest.failf "%s: checker rejected: %s" label msg
-          | Certcheck.Overflowed ->
-              Alcotest.failf "%s: exact backend overflow" label)
-        strategies;
-      true)
+      Chaos.set ~rate:5 (Some ((n * 4) + i));
+      let before = Chaos.injections () in
+      let (outcome, events, dropped) =
+        Fun.protect
+          ~finally:(fun () -> Chaos.set None)
+          (fun () ->
+            Certify.with_recording (fun () ->
+                G.count ~opts ~vars:case.Td.vars case.Td.formula))
+      in
+      incr chaos_total_runs;
+      if Chaos.injections () > before then incr chaos_injected_runs;
+      (match outcome with
+      | G.Partial _ -> incr chaos_partials
+      | G.Complete _ -> ());
+      let cert =
+        Certify.build ~opts ~vars:case.Td.vars ~summand:Qpoly.one
+          ~query:label ~ats:(ats_of case.Td.env) ~outcome
+          ~events ~dropped case.Td.formula
+      in
+      let cert = reparse cert in
+      match Certcheck.check_exact cert with
+      | Certcheck.Accepted s ->
+          (* Partial bounds that replayed must also bracket the
+             truth — soundness of what was certified, not just
+             internal consistency. (Complete outcomes under Upper /
+             Lower strategies are deliberate approximations, so only
+             partial entries carry bracketing claims.) *)
+          if s.Certcheck.status = "partial" then
+            check_bracket ~label ~truth s
+      | Certcheck.Rejected msg ->
+          Alcotest.failf "%s: checker rejected: %s" label msg
+      | Certcheck.Overflowed ->
+          Alcotest.failf "%s: exact backend overflow" label)
+    strategies;
+  true
 
-let chaos_qcheck ~jobs =
+let chaos_qcheck =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:(Printf.sprintf "chaos certificate battery, jobs=%d" jobs)
-       ~count:35
+    (QCheck.Test.make ~name:"chaos certificate battery, jobs=1" ~count:70
        QCheck.(int_bound 10_000)
-       (chaos_cert_property ~jobs))
+       chaos_cert_property)
 
 let test_chaos_quota () =
   if !chaos_injected_runs < 200 then
@@ -595,8 +573,7 @@ let suite =
       Alcotest.test_case "mutation: summand" `Quick test_mutation_summand;
       Alcotest.test_case "mutation: farkas multiplier" `Quick
         test_mutation_farkas;
-      chaos_qcheck ~jobs:1;
-      chaos_qcheck ~jobs:4;
+      chaos_qcheck;
       Alcotest.test_case "chaos battery quota" `Quick test_chaos_quota;
       Alcotest.test_case "ojson adversarial inputs" `Quick
         test_parse_adversarial;

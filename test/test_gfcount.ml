@@ -6,8 +6,8 @@
    piece list as the Pugh splintering engine — byte-identical rendered
    output, not merely equal counts — and wherever it does not apply it
    falls back to Pugh per clause. This file pins that guarantee on every
-   EXPERIMENTS.md example across all four strategies and
-   jobs ∈ {1, 2, recommended}, on a slice of the dense-polytope
+   EXPERIMENTS.md example across all four strategies, on a slice of the
+   dense-polytope
    differential family, and under governor fault injection (a budget
    trip mid-decomposition must still yield a Partial whose bounds
    bracket brute force). *)
@@ -17,12 +17,9 @@ module A = Presburger.Affine
 module V = Presburger.Var
 module E = Counting.Engine
 module G = Counting.Governor
-module Pool = Counting.Pool
 module Chaos = Counting.Chaos
 module Value = Counting.Value
 
-let with_jobs = Test_parallel.with_jobs
-let jobs_list = Test_parallel.jobs_list
 let render = Counting.Value.to_string
 
 let backends = [ (E.Gf, "gf"); (E.Auto, "auto") ]
@@ -76,30 +73,23 @@ let example_units =
              ~proc:0) );
   ]
 
-(* For every example × strategy: the Pugh rendering at jobs = 1 is the
-   reference; Gf and Auto must reproduce it byte-for-byte at every jobs
-   level (and Pugh itself must stay jobs-invariant, which test_parallel
-   already pins — re-checked here only where it is the reference). *)
+(* For every example × strategy: the Pugh rendering is the reference;
+   Gf and Auto must reproduce it byte-for-byte. *)
 let test_examples_byte_identity () =
   List.iter
     (fun (name, unit) ->
       List.iter
         (fun (strategy, sname) ->
-          let run backend jobs =
-            with_jobs jobs (fun () ->
-                Test_differential.reset_world ();
-                unit { E.default with strategy; backend })
+          let run backend =
+            Test_differential.reset_world ();
+            unit { E.default with strategy; backend }
           in
-          let reference = run E.Pugh 1 in
+          let reference = run E.Pugh in
           List.iter
             (fun (backend, bname) ->
-              List.iter
-                (fun jobs ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s [%s] %s jobs=%d = pugh jobs=1" name
-                       sname bname jobs)
-                    reference (run backend jobs))
-                jobs_list)
+              Alcotest.(check string)
+                (Printf.sprintf "%s [%s] %s = pugh" name sname bname)
+                reference (run backend))
             backends)
         strategies)
     example_units
@@ -107,31 +97,24 @@ let test_examples_byte_identity () =
 (* ------------------------------------------------------------------ *)
 (* Dense-polytope differential slice: the clauses where gfcount really
    runs its cone decomposition (rather than falling back). Byte
-   identity of the full rendered value, Gf and Auto vs Pugh, serial and
-   under a real pool.                                                   *)
+   identity of the full rendered value, Gf and Auto vs Pugh.            *)
 
 let test_dense_byte_identity () =
   for seed = 300 to 319 do
     let case = Test_differential.gen_dense_case seed in
-    let run backend jobs =
-      with_jobs jobs (fun () ->
-          Test_differential.reset_world ();
-          render
-            (E.count
-               ~opts:{ E.default with backend }
-               ~vars:case.Test_differential.vars
-               case.Test_differential.formula))
+    let run backend =
+      Test_differential.reset_world ();
+      render
+        (E.count
+           ~opts:{ E.default with backend }
+           ~vars:case.Test_differential.vars case.Test_differential.formula)
     in
-    let reference = run E.Pugh 1 in
+    let reference = run E.Pugh in
     List.iter
       (fun (backend, bname) ->
-        List.iter
-          (fun jobs ->
-            Alcotest.(check string)
-              (Printf.sprintf "dense seed %d [%s] jobs=%d = pugh jobs=1" seed
-                 bname jobs)
-              reference (run backend jobs))
-          [ 1; 2 ])
+        Alcotest.(check string)
+          (Printf.sprintf "dense seed %d [%s] = pugh" seed bname)
+          reference (run backend))
       backends
   done
 
@@ -168,41 +151,35 @@ let test_gf_engaged () =
    charges the budget, so fuel can run out mid-decomposition; the
    outcome must still be Complete-and-correct or a bracketing Partial.  *)
 
-let chaos_property ~jobs n =
-  with_jobs jobs (fun () ->
-      let seed = 300 + (n mod 150) in
-      let case = Test_differential.gen_dense_case seed in
-      Chaos.set None;
+let chaos_property n =
+  let seed = 300 + (n mod 150) in
+  let case = Test_differential.gen_dense_case seed in
+  Chaos.set None;
+  Test_differential.reset_world ();
+  let truth = Test_differential.brute case in
+  List.iteri
+    (fun i (backend, bname) ->
       Test_differential.reset_world ();
-      let truth = Test_differential.brute case in
-      List.iteri
-        (fun i (backend, bname) ->
-          Test_differential.reset_world ();
-          let label =
-            Printf.sprintf "gf-chaos jobs=%d case=%d [%s]" jobs seed bname
-          in
-          Chaos.set ~rate:5 (Some (0x6fc0 + (n * 2) + i));
-          let outcome =
-            Fun.protect
-              ~finally:(fun () -> Chaos.set None)
-              (fun () ->
-                G.count
-                  ~opts:{ E.default with backend }
-                  ~vars:case.Test_differential.vars
-                  case.Test_differential.formula)
-          in
-          Test_governor.check_chaos_outcome ~label ~truth ~strategy:E.Exact
-            ~env:case.Test_differential.env outcome)
-        backends;
-      true)
+      let label = Printf.sprintf "gf-chaos case=%d [%s]" seed bname in
+      Chaos.set ~rate:5 (Some (0x6fc0 + (n * 2) + i));
+      let outcome =
+        Fun.protect
+          ~finally:(fun () -> Chaos.set None)
+          (fun () ->
+            G.count
+              ~opts:{ E.default with backend }
+              ~vars:case.Test_differential.vars case.Test_differential.formula)
+      in
+      Test_governor.check_chaos_outcome ~label ~truth ~strategy:E.Exact
+        ~env:case.Test_differential.env outcome)
+    backends;
+  true
 
-let chaos_qcheck ~jobs =
+let chaos_qcheck =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:(Printf.sprintf "gf chaos battery, jobs=%d" jobs)
-       ~count:40
+    (QCheck.Test.make ~name:"gf chaos battery, jobs=1" ~count:80
        QCheck.(int_bound 10_000)
-       (chaos_property ~jobs))
+       chaos_property)
 
 (* Deterministic fuel trip through the gfcount path: tiny fuel on a
    dense case must yield a bracketing Partial, not a crash or a wrong
@@ -237,8 +214,7 @@ let suite =
         test_dense_byte_identity;
       Alcotest.test_case "auto dispatches to gfcount; gf falls back" `Quick
         test_gf_engaged;
-      chaos_qcheck ~jobs:1;
-      chaos_qcheck ~jobs:4;
+      chaos_qcheck;
       Alcotest.test_case "tiny fuel through gfcount yields bracketing Partial"
         `Quick test_fuel_partial_gf;
     ] )

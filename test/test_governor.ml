@@ -1,9 +1,9 @@
 (* Resource governor and fault-injection battery (Counting.Governor,
-   Counting.Chaos, Obs.Budget, the pool's cancellation/backtrace paths).
+   Counting.Chaos, Obs.Budget).
 
    The core claim under test: under ANY injected fault schedule — fuel
-   exhaustion, deadline expiry, worker-task kills, at randomized
-   checkpoints, across strategies and jobs settings — a governed query
+   exhaustion or deadline expiry at randomized checkpoints, across
+   strategies — a governed query
    either completes with the correct answer or returns a well-formed
    [Partial] whose bounds bracket the brute-force count. Never a hang,
    a crash, or a silently wrong total. *)
@@ -13,17 +13,11 @@ module A = Presburger.Affine
 module V = Presburger.Var
 module E = Counting.Engine
 module G = Counting.Governor
-module Pool = Counting.Pool
 module Chaos = Counting.Chaos
 module Value = Counting.Value
 
 let k n = A.of_int n
 let av s = A.var (V.named s)
-
-let with_jobs jobs f =
-  let saved = Pool.jobs () in
-  Pool.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
 
 (* Deterministic tests must not inherit an OMEGA_CHAOS seed from the
    environment (the CI chaos job exports one for the whole binary). *)
@@ -47,8 +41,8 @@ let strategies =
     ("lower", E.Lower);
   ]
 
-(* Battery-wide tallies, asserted by the quota test after both qcheck
-   cases have run. *)
+(* Battery-wide tallies, asserted by the quota test after the qcheck
+   battery has run. *)
 let runs_with_injection = ref 0
 let total_runs = ref 0
 let completes_seen = ref 0
@@ -96,44 +90,38 @@ let check_chaos_outcome ~label ~truth ~strategy ~env outcome =
 (* One chaos run: a differential-harness case, under all four
    strategies, with aggressive fault injection (about every 5th budget
    event). The chaos schedule is a pure function of (chaos seed, event
-   index), so at jobs = 1 the whole battery is reproducible. *)
-let chaos_property ~jobs n =
-  with_jobs jobs (fun () ->
-      let case = Test_differential.gen_case (n mod 150) in
-      Chaos.set None;
+   index), so the whole battery is reproducible. *)
+let chaos_property n =
+  let case = Test_differential.gen_case (n mod 150) in
+  Chaos.set None;
+  Test_differential.reset_world ();
+  let truth = Test_differential.brute case in
+  List.iteri
+    (fun i (sname, strategy) ->
       Test_differential.reset_world ();
-      let truth = Test_differential.brute case in
-      List.iteri
-        (fun i (sname, strategy) ->
-          Test_differential.reset_world ();
-          let label =
-            Printf.sprintf "chaos jobs=%d case=%d [%s]" jobs n sname
-          in
-          Chaos.set ~rate:5 (Some ((n * 4) + i));
-          let before = Chaos.injections () in
-          let outcome =
-            Fun.protect
-              ~finally:(fun () -> Chaos.set None)
-              (fun () ->
-                G.count
-                  ~opts:{ E.default with strategy }
-                  ~vars:case.Test_differential.vars
-                  case.Test_differential.formula)
-          in
-          incr total_runs;
-          if Chaos.injections () > before then incr runs_with_injection;
-          check_chaos_outcome ~label ~truth ~strategy
-            ~env:case.Test_differential.env outcome)
-        strategies;
-      true)
+      let label = Printf.sprintf "chaos case=%d [%s]" n sname in
+      Chaos.set ~rate:5 (Some ((n * 4) + i));
+      let before = Chaos.injections () in
+      let outcome =
+        Fun.protect
+          ~finally:(fun () -> Chaos.set None)
+          (fun () ->
+            G.count
+              ~opts:{ E.default with strategy }
+              ~vars:case.Test_differential.vars case.Test_differential.formula)
+      in
+      incr total_runs;
+      if Chaos.injections () > before then incr runs_with_injection;
+      check_chaos_outcome ~label ~truth ~strategy
+        ~env:case.Test_differential.env outcome)
+    strategies;
+  true
 
-let chaos_qcheck ~jobs =
+let chaos_qcheck =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:(Printf.sprintf "chaos battery, jobs=%d" jobs)
-       ~count:60
+    (QCheck.Test.make ~name:"chaos battery, jobs=1" ~count:120
        QCheck.(int_bound 10_000)
-       (chaos_property ~jobs))
+       chaos_property)
 
 let test_chaos_quota () =
   if !runs_with_injection < 200 then
@@ -146,7 +134,7 @@ let test_chaos_quota () =
     Alcotest.fail "chaos battery never exercised the Partial path"
 
 (* ------------------------------------------------------------------ *)
-(* Deadlines: prompt degradation, pool survives and stays reusable      *)
+(* Deadlines: prompt degradation, the engine stays reusable             *)
 
 (* Coprime coefficients force splinter cascades; ungoverned this runs
    far past any test budget, so only its governed behaviour is
@@ -162,44 +150,43 @@ let splinter_heavy =
       F.leq (av "k") (av "n");
     ]
 
-let test_deadline jobs () =
+let test_deadline () =
   no_chaos (fun () ->
-      with_jobs jobs (fun () ->
-          Test_differential.reset_world ();
-          let t0 = Unix.gettimeofday () in
-          let outcome =
-            G.count
-              ~budget:{ G.unlimited with G.deadline_ms = Some 50 }
-              ~vars:[ "i"; "j"; "k" ] splinter_heavy
-          in
-          let dt = Unix.gettimeofday () -. t0 in
-          (* Generous ceiling: the point is "bounded", not "fast" — the
-             shadow over-approximation run and a slow CI box both eat
-             into this. *)
-          if dt > 30. then
-            Alcotest.failf "50ms deadline took %.1fs to return" dt;
-          (match outcome with
-          | G.Partial p ->
-              Alcotest.(check string)
-                "tripped on the deadline" "deadline"
-                (G.reason_name p.G.reason)
-          | G.Complete _ ->
-              Alcotest.fail "splinter-heavy formula finished in 50ms?");
-          (* The pool must be immediately reusable for a full-budget
-             query that completes correctly. *)
-          let case = Test_differential.gen_case 7 in
-          Test_differential.reset_world ();
-          let truth = Test_differential.brute case in
-          match
-            G.count ~vars:case.Test_differential.vars
-              case.Test_differential.formula
-          with
-          | G.Complete v ->
-              Alcotest.check qnum "pool reusable after deadline trip" truth
-                (Value.eval
-                   (Test_differential.env_fn case.Test_differential.env)
-                   v)
-          | G.Partial _ -> Alcotest.fail "unlimited rerun returned Partial"))
+      Test_differential.reset_world ();
+      let t0 = Unix.gettimeofday () in
+      let outcome =
+        G.count
+          ~budget:{ G.unlimited with G.deadline_ms = Some 50 }
+          ~vars:[ "i"; "j"; "k" ] splinter_heavy
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      (* Generous ceiling: the point is "bounded", not "fast" — the
+         shadow over-approximation run and a slow CI box both eat
+         into this. *)
+      if dt > 30. then
+        Alcotest.failf "50ms deadline took %.1fs to return" dt;
+      (match outcome with
+      | G.Partial p ->
+          Alcotest.(check string)
+            "tripped on the deadline" "deadline"
+            (G.reason_name p.G.reason)
+      | G.Complete _ ->
+          Alcotest.fail "splinter-heavy formula finished in 50ms?");
+      (* The engine must be immediately reusable for a full-budget
+         query that completes correctly. *)
+      let case = Test_differential.gen_case 7 in
+      Test_differential.reset_world ();
+      let truth = Test_differential.brute case in
+      match
+        G.count ~vars:case.Test_differential.vars
+          case.Test_differential.formula
+      with
+      | G.Complete v ->
+          Alcotest.check qnum "engine reusable after deadline trip" truth
+            (Value.eval
+               (Test_differential.env_fn case.Test_differential.env)
+               v)
+      | G.Partial _ -> Alcotest.fail "unlimited rerun returned Partial")
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic budget trips: fuel, clause cap, nesting guard          *)
@@ -332,100 +319,6 @@ let test_byte_identity () =
         [ 0; 17; 42 ])
 
 (* ------------------------------------------------------------------ *)
-(* Pool: backtrace fidelity, drain-before-raise, deterministic choice   *)
-
-exception Probe of int
-
-(* A named raiser so the recorded backtrace has a frame in this file.
-   [failwith] would put the raise point inside Stdlib. *)
-let[@inline never] raise_probe n = raise (Probe n)
-
-let test_pool_backtrace () =
-  no_chaos (fun () ->
-      let prev = Printexc.backtrace_status () in
-      Printexc.record_backtrace true;
-      Fun.protect
-        ~finally:(fun () -> Printexc.record_backtrace prev)
-        (fun () ->
-          with_jobs 2 (fun () ->
-              let contains hay needle =
-                let nh = String.length hay and nn = String.length needle in
-                let rec go i =
-                  i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-                in
-                go 0
-              in
-              (* map_results: per-item error carries the original
-                 backtrace *)
-              (match
-                 Pool.map_results
-                   (fun x -> if x = 1 then raise_probe x else x)
-                   [ 0; 1; 2 ]
-               with
-              | [ Ok 0; Error (Probe 1, bt); Ok 2 ] ->
-                  let s = Printexc.raw_backtrace_to_string bt in
-                  if not (contains s "test_governor") then
-                    Alcotest.failf
-                      "task backtrace does not name the user function:\n%s" s
-              | _ -> Alcotest.fail "map_results shape mismatch");
-              (* map_list: drains every future, then re-raises the
-                 first-by-input-order failure with its original trace *)
-              let ran = Atomic.make 0 in
-              (match
-                 Pool.map_list
-                   (fun x ->
-                     Atomic.incr ran;
-                     if x = 1 then raise_probe 1;
-                     if x = 3 then raise_probe 3;
-                     x)
-                   [ 0; 1; 2; 3; 4 ]
-               with
-              | _ -> Alcotest.fail "map_list swallowed the failure"
-              | exception Probe n ->
-                  Alcotest.(check int) "first failure by input order" 1 n;
-                  let s = Printexc.get_backtrace () in
-                  if not (contains s "test_governor") then
-                    Alcotest.failf
-                      "re-raised backtrace does not name the user function:\n%s"
-                      s);
-              Alcotest.(check int)
-                "all tasks drained despite failure" 5 (Atomic.get ran));
-          (* Weighted spawn order never shows in the results: the
-             heaviest item (3) is spawned first and fails, but results
-             come back in input order and the first failure in input
-             order is the lighter middle item's. *)
-          List.iter
-            (fun jobs ->
-              with_jobs jobs (fun () ->
-                  let weight x = [| 1; 5; 3; 9; 2 |].(x) in
-                  let results =
-                    Pool.map_results ~weight
-                      (fun x -> if x = 2 || x = 3 then raise_probe x else x * 10)
-                      [ 0; 1; 2; 3; 4 ]
-                  in
-                  (match results with
-                  | [ Ok 0; Ok 10; Error (Probe 2, _); Error (Probe 3, _); Ok 40 ]
-                    ->
-                      ()
-                  | _ ->
-                      Alcotest.failf "jobs=%d: weighted results out of input order"
-                        jobs);
-                  match
-                    List.map
-                      (function
-                        | Ok v -> v
-                        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-                      results
-                  with
-                  | _ -> Alcotest.failf "jobs=%d: failure swallowed" jobs
-                  | exception Probe n ->
-                      Alcotest.(check int)
-                        (Printf.sprintf "jobs=%d: first failure by input order"
-                           jobs)
-                        2 n))
-            [ 1; 4 ]))
-
-(* ------------------------------------------------------------------ *)
 (* Typed errors                                                         *)
 
 let test_omega_error () =
@@ -446,14 +339,11 @@ let test_omega_error () =
 let suite =
   ( "governor",
     [
-      chaos_qcheck ~jobs:1;
-      chaos_qcheck ~jobs:4;
+      chaos_qcheck;
       Alcotest.test_case "chaos battery quota (>=200 injected-fault runs)"
         `Quick test_chaos_quota;
       Alcotest.test_case "50ms deadline degrades promptly, jobs=1" `Quick
-        (test_deadline 1);
-      Alcotest.test_case "50ms deadline degrades promptly, jobs=4" `Quick
-        (test_deadline 4);
+        test_deadline;
       Alcotest.test_case "tiny fuel yields bracketing Partial" `Quick
         test_fuel_partial;
       Alcotest.test_case "clause cap trips" `Quick test_clause_cap;
@@ -463,8 +353,6 @@ let suite =
         test_memo_not_poisoned;
       Alcotest.test_case "governed Complete byte-identical to engine" `Quick
         test_byte_identity;
-      Alcotest.test_case "pool backtraces, drain, deterministic raise" `Quick
-        test_pool_backtrace;
       Alcotest.test_case "Omega_error shape and printer" `Quick
         test_omega_error;
     ] )

@@ -127,9 +127,8 @@ let card outcome =
           backend = "pugh";
           predicted_fanout = 2;
           order = [ "j"; "i" ];
-          weight = 9;
         };
-        { index = 1; rows = 2; backend = "gf"; predicted_fanout = 1; order = []; weight = 1 };
+        { index = 1; rows = 2; backend = "gf"; predicted_fanout = 1; order = [] };
       ];
     clauses_total = 2;
     report;
@@ -137,7 +136,7 @@ let card outcome =
 
 let test_card () =
   check "Telemetry.to_json, complete"
-    ({|{"schema":"omegacount.card.v1","fingerprint":"125cf5c719d10c3f","query":"q\"uery","vars":["i","j\\"],"outcome":{"status":"complete"},"clauses_total":2,"clauses":[{"index":0,"rows":4,"backend":"pugh","predicted_fanout":2,"order":["j","i"],"weight":9},{"index":1,"rows":2,"backend":"gf","predicted_fanout":1,"order":[],"weight":1}],"rates":{"memo_feas_pct":40.00,"memo_elim_pct":33.33,"memo_gist_pct":0.00,"prefilter_probes":8,"prefilter_refuted_pct":37.50},"budget":{"fuel_used":0,"trips":0,"injections":0},"report":|}
+    ({|{"schema":"omegacount.card.v1","fingerprint":"125cf5c719d10c3f","query":"q\"uery","vars":["i","j\\"],"outcome":{"status":"complete"},"clauses_total":2,"clauses":[{"index":0,"rows":4,"backend":"pugh","predicted_fanout":2,"order":["j","i"]},{"index":1,"rows":2,"backend":"gf","predicted_fanout":1,"order":[]}],"rates":{"memo_feas_pct":40.00,"memo_elim_pct":33.33,"memo_gist_pct":0.00,"prefilter_probes":8,"prefilter_refuted_pct":37.50},"budget":{"fuel_used":0,"trips":0,"injections":0},"report":|}
     ^ report_json ^ "}")
     (Counting.Telemetry.to_json (card Counting.Telemetry.Complete));
   let outcome_of json =

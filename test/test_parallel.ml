@@ -1,62 +1,52 @@
-(* Parallel-vs-serial battery for the domain pool (Counting.Pool).
+(* Parallel-vs-serial battery across domains.
 
-   The engine guarantees that parallel output is byte-identical to serial
-   output: tasks are pure, results are merged in original index order
-   (Merge.combine), and fresh names come from order-preserving atomic
-   counters. This file checks that guarantee on every EXPERIMENTS.md
-   example and on the differential harness's 300 seeded formulas, across
-   all strategies and jobs ∈ {1, 2, recommended}; stresses the shared
-   observability layer (Obs.Metrics, Obs.Trace) from concurrent domains;
-   and pins down the pool primitives and the fresh-name counters
-   directly. *)
+   The engine runs serially; parallelism is across omegad's handler
+   domains, each running one request at a time under its own request
+   context (Serve.Ctx: fresh-name counters and a memo epoch) while they
+   share the memo shards, metrics and trace rings. A request's answer
+   must not depend on that sharing: this file renders every
+   EXPERIMENTS.md example and the differential harness's 300 seeded
+   formulas, across all strategies, on two domains at once and demands
+   the bytes of a serial rendering; stresses the shared observability
+   layer (Obs.Metrics, Obs.Trace) from concurrent domains; and pins down
+   the fresh-name counters directly. *)
 
 module F = Presburger.Formula
 module A = Presburger.Affine
 module V = Presburger.Var
 module E = Counting.Engine
-module Pool = Counting.Pool
 module L = Loopapps.Loopnest
 
 let v s = A.var (V.named s)
 let k n = A.of_int n
 
-let with_jobs jobs f =
-  let saved = Pool.jobs () in
-  Pool.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
-
-(* The jobs values under test. On a single-core machine
-   [recommended_domain_count] is 1 and this still exercises a real pool
-   via jobs = 2. *)
-let jobs_list =
-  List.sort_uniq compare [ 1; 2; Domain.recommended_domain_count () ]
-
-(* [check_battery units]: render every named unit serially, then re-render
-   the whole battery under each parallel jobs setting (one pool spin-up
-   per setting, not per unit) and demand byte-identical strings. Counter
-   resets between units keep every rendering independent of history. *)
-let render_all units =
-  List.map
-    (fun (name, compute) ->
-      Test_differential.reset_world ();
-      (name, compute ()))
-    units
+(* [check_battery units]: render every named unit serially (counter
+   resets between units keep each rendering independent of history),
+   then render the whole battery on two domains at once, each unit under
+   a fresh request context as an omegad handler runs it, and demand
+   byte-identical strings from both. *)
+let domains = 2
 
 let check_battery units =
-  let reference = with_jobs 1 (fun () -> render_all units) in
-  List.iter
-    (fun jobs ->
-      if jobs <> 1 then begin
-        let got = with_jobs jobs (fun () -> render_all units) in
-        List.iter2
-          (fun (name, a) (name', b) ->
-            assert (String.equal name name');
-            Alcotest.(check string)
-              (Printf.sprintf "%s: jobs=%d byte-identical to jobs=1" name jobs)
-              a b)
-          reference got
-      end)
-    jobs_list
+  let reference =
+    List.map
+      (fun (name, compute) ->
+        Test_differential.reset_world ();
+        (name, compute ()))
+      units
+  in
+  let render_concurrently () =
+    List.map (fun (name, compute) -> (name, Serve.Ctx.with_request compute)) units
+  in
+  List.init domains (fun _ -> Domain.spawn render_concurrently)
+  |> List.iteri (fun d h ->
+         List.iter2
+           (fun (name, a) (name', b) ->
+             assert (String.equal name name');
+             Alcotest.(check string)
+               (Printf.sprintf "%s: domain %d byte-identical to serial" name d)
+               a b)
+           reference (Domain.join h))
 
 (* ------------------------------------------------------------------ *)
 (* The EXPERIMENTS.md examples (formulas mirror bench/main.ml)          *)
@@ -211,54 +201,12 @@ let seed_units lo hi =
 let test_seed_block lo () = check_battery (seed_units lo (lo + 49))
 
 (* ------------------------------------------------------------------ *)
-(* Pool primitives                                                      *)
+(* Shared-observability stress                                          *)
 
 let metric_value name =
   match List.assoc_opt name (Obs.Metrics.snapshot ()) with
   | Some (Obs.Metrics.Count n) -> n
   | _ -> Alcotest.failf "metric %s missing or not a counter" name
-
-let test_pool_map_order () =
-  with_jobs 4 (fun () ->
-      let xs = List.init 200 (fun i -> i) in
-      Alcotest.(check (list int))
-        "map_list preserves input order"
-        (List.map (fun x -> x * x) xs)
-        (Pool.map_list (fun x -> x * x) xs);
-      (* nested fork/join must not deadlock: outer tasks block on inner
-         tasks that may sit in another domain's queue *)
-      let nested =
-        Pool.map_list
-          (fun i ->
-            Pool.map_list (fun j -> (i * 10) + j) (List.init 10 (fun j -> j)))
-          (List.init 20 (fun i -> i))
-      in
-      Alcotest.(check (list int))
-        "nested map_list"
-        (List.init 200 (fun i -> i))
-        (List.concat nested))
-
-exception Boom of int
-
-let test_pool_exception () =
-  with_jobs 2 (fun () ->
-      match Pool.map_list (fun x -> if x = 3 then raise (Boom x) else x)
-              [ 0; 1; 2; 3; 4 ]
-      with
-      | _ -> Alcotest.fail "expected Boom to propagate"
-      | exception Boom 3 -> ())
-
-let test_pool_engaged () =
-  with_jobs 2 (fun () ->
-      let before = metric_value "pool.tasks" in
-      Test_differential.reset_world ();
-      (* 9 DNF clauses: the clause-level fan-out must queue real tasks *)
-      ignore (E.count ~vars:[ "x" ] example4_formula);
-      if metric_value "pool.tasks" <= before then
-        Alcotest.fail "multi-clause count did not reach the pool")
-
-(* ------------------------------------------------------------------ *)
-(* Shared-observability stress                                          *)
 
 let test_metrics_stress () =
   let c = Obs.Metrics.counter "test.parallel.stress" in
@@ -276,77 +224,76 @@ let test_metrics_stress () =
     "no lost increments across domains" (workers * iters)
     (metric_value "test.parallel.stress" - before)
 
-(* Many counts in flight at once — external domains submitting to one
-   shared pool — must each still produce the correct number, and the
-   merged trace must stay well-formed: every ring is a distinct tid with
-   a thread_name record and a balanced span stream. *)
+(* Many counts in flight at once on several domains must each still
+   produce the correct number, and the merged trace must stay
+   well-formed: every ring is a distinct tid with a thread_name record
+   and a balanced span stream. *)
 let test_concurrent_counts () =
-  with_jobs 2 (fun () ->
-      Test_trace.with_tracing (fun () ->
-          let env name =
-            if String.equal name "n" then Zint.of_int 30
-            else Alcotest.failf "unbound %s" name
-          in
-          let expected =
-            Counting.Value.eval env (E.count ~vars:[ "i"; "j" ] example6_formula)
-          in
-          let workers = 3 and rounds = 15 in
-          let ds =
-            List.init workers (fun _ ->
-                Domain.spawn (fun () ->
-                    let ok = ref true in
-                    for _ = 1 to rounds do
-                      let value = E.count ~vars:[ "i"; "j" ] example6_formula in
-                      if not (Qnum.equal expected (Counting.Value.eval env value))
-                      then ok := false
-                    done;
-                    !ok))
-          in
-          let oks = List.map Domain.join ds in
-          Alcotest.(check (list bool))
-            "every concurrent count correct"
-            (List.init workers (fun _ -> true))
-            oks;
-          (* merged export: parse, then check nesting per tid *)
-          let j = Test_trace.parse_json (Obs.Trace.to_chrome_json ()) in
-          let events = Test_trace.trace_events_of_json j in
-          Test_trace.check_nesting events;
-          let tid_of e =
-            match Test_trace.member_exn "tid" e with
-            | Test_trace.Num f -> int_of_float f
-            | _ -> Alcotest.fail "event without numeric tid"
-          in
-          let span_tids =
-            List.filter_map
-              (fun e ->
-                match Test_trace.member_exn "ph" e with
-                | Test_trace.JStr ("B" | "E" | "i") -> Some (tid_of e)
-                | _ -> None)
-              events
-            |> List.sort_uniq compare
-          in
-          if List.length span_tids < 2 then
-            Alcotest.failf "expected rings from several domains, got %d"
-              (List.length span_tids);
-          let named_tids =
-            List.filter_map
-              (fun e ->
-                match
-                  (Test_trace.member_exn "ph" e, Test_trace.member "name" e)
-                with
-                | Test_trace.JStr "M", Some (Test_trace.JStr "thread_name") ->
-                    Some (tid_of e)
-                | _ -> None)
-              events
-            |> List.sort_uniq compare
-          in
-          List.iter
-            (fun tid ->
-              if not (List.mem tid named_tids) then
-                Alcotest.failf "ring tid %d has no thread_name record" tid;
-              Test_trace.check_nesting
-                (List.filter (fun e -> tid_of e = tid) events))
-            span_tids))
+  Test_trace.with_tracing (fun () ->
+      let env name =
+        if String.equal name "n" then Zint.of_int 30
+        else Alcotest.failf "unbound %s" name
+      in
+      let expected =
+        Counting.Value.eval env (E.count ~vars:[ "i"; "j" ] example6_formula)
+      in
+      let workers = 3 and rounds = 15 in
+      let ds =
+        List.init workers (fun _ ->
+            Domain.spawn (fun () ->
+                let ok = ref true in
+                for _ = 1 to rounds do
+                  let value = E.count ~vars:[ "i"; "j" ] example6_formula in
+                  if not (Qnum.equal expected (Counting.Value.eval env value))
+                  then ok := false
+                done;
+                !ok))
+      in
+      let oks = List.map Domain.join ds in
+      Alcotest.(check (list bool))
+        "every concurrent count correct"
+        (List.init workers (fun _ -> true))
+        oks;
+      (* merged export: parse, then check nesting per tid *)
+      let j = Test_trace.parse_json (Obs.Trace.to_chrome_json ()) in
+      let events = Test_trace.trace_events_of_json j in
+      Test_trace.check_nesting events;
+      let tid_of e =
+        match Test_trace.member_exn "tid" e with
+        | Test_trace.Num f -> int_of_float f
+        | _ -> Alcotest.fail "event without numeric tid"
+      in
+      let span_tids =
+        List.filter_map
+          (fun e ->
+            match Test_trace.member_exn "ph" e with
+            | Test_trace.JStr ("B" | "E" | "i") -> Some (tid_of e)
+            | _ -> None)
+          events
+        |> List.sort_uniq compare
+      in
+      if List.length span_tids < 2 then
+        Alcotest.failf "expected rings from several domains, got %d"
+          (List.length span_tids);
+      let named_tids =
+        List.filter_map
+          (fun e ->
+            match
+              (Test_trace.member_exn "ph" e, Test_trace.member "name" e)
+            with
+            | Test_trace.JStr "M", Some (Test_trace.JStr "thread_name") ->
+                Some (tid_of e)
+            | _ -> None)
+          events
+        |> List.sort_uniq compare
+      in
+      List.iter
+        (fun tid ->
+          if not (List.mem tid named_tids) then
+            Alcotest.failf "ring tid %d has no thread_name record" tid;
+          Test_trace.check_nesting
+            (List.filter (fun e -> tid_of e = tid) events))
+        span_tids)
 
 (* ------------------------------------------------------------------ *)
 (* Fresh-name counters never collide across domains                     *)
@@ -441,8 +388,9 @@ let prop_combine_canonical =
       && String.equal reference (canon1 left)
       && String.equal reference (canon1 right))
 
-(* combine in index order is literally what the parallel engine does, so
-   also pin the stronger fact: it equals plain concatenation. *)
+(* combine in index order is literally what the engine does with its
+   branches, so also pin the stronger fact: it equals plain
+   concatenation. *)
 let prop_combine_is_concat =
   QCheck.Test.make ~name:"combine = index-order concatenation" ~count:50
     parts_gen (fun (parts, _) ->
@@ -451,12 +399,6 @@ let prop_combine_is_concat =
 let suite =
   ( "parallel",
     [
-      Alcotest.test_case "pool map_list order and nesting" `Quick
-        test_pool_map_order;
-      Alcotest.test_case "pool exception propagation" `Quick
-        test_pool_exception;
-      Alcotest.test_case "pool engaged on multi-clause count" `Quick
-        test_pool_engaged;
       Alcotest.test_case "EXPERIMENTS examples: parallel = serial" `Quick
         test_examples;
       Alcotest.test_case "seeds 0-49: parallel = serial" `Quick

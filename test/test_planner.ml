@@ -4,8 +4,7 @@
    The pipeline may reorder eliminations, route clauses to the
    generating-function backend, clamp splinter-pin loops and prune
    provably infeasible branches — but it must never change a single
-   byte of the rendered answer, at any --jobs level, under any
-   strategy. The reference is the same engine with the pre-filter
+   byte of the rendered answer, under any strategy. The reference is the same engine with the pre-filter
    disarmed and every clause forced through Pugh. This file pins that
    guarantee on every EXPERIMENTS.md example, on a 500-trial slice of
    both differential families, and under governor fault injection; it
@@ -24,7 +23,6 @@ module Clause = Omega.Clause
 module Prefilter = Omega.Prefilter
 module Solve = Omega.Solve
 
-let with_jobs = Test_parallel.with_jobs
 let render = Counting.Value.to_string
 let k n = A.of_int n
 let av s = A.var (V.named s)
@@ -32,10 +30,6 @@ let av s = A.var (V.named s)
 let strategies =
   [ (E.Exact, "exact"); (E.Symbolic, "symbolic"); (E.Upper, "upper");
     (E.Lower, "lower") ]
-
-(* The pipeline must agree with the reference at jobs = 1 and on a real
-   pool. *)
-let plan_jobs = [ 1; 4 ]
 
 (* The reference run: pre-filter disarmed, no gf routing. The planner's
    elimination order still applies, but only in the collapse-safe zone,
@@ -45,8 +39,8 @@ let reference f = Prefilter.with_armed false f
 let pugh opts = { opts with E.backend = E.Pugh }
 
 (* ------------------------------------------------------------------ *)
-(* EXPERIMENTS examples: the reference at jobs = 1; the default pipeline
-   must reproduce it byte-for-byte at every jobs level and strategy.    *)
+(* EXPERIMENTS examples: the default pipeline must reproduce the
+   reference byte-for-byte under every strategy.                        *)
 
 let test_examples_byte_identity () =
   List.iter
@@ -54,19 +48,14 @@ let test_examples_byte_identity () =
       List.iter
         (fun (strategy, sname) ->
           let opts = { E.default with E.strategy } in
-          let run jobs opts =
-            with_jobs jobs (fun () ->
-                Test_differential.reset_world ();
-                unit opts)
+          let run opts =
+            Test_differential.reset_world ();
+            unit opts
           in
-          let expected = reference (fun () -> run 1 (pugh opts)) in
-          List.iter
-            (fun jobs ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s [%s] pipeline jobs=%d = reference jobs=1"
-                   name sname jobs)
-                expected (run jobs opts))
-            plan_jobs)
+          let expected = reference (fun () -> run (pugh opts)) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s [%s] pipeline = reference" name sname)
+            expected (run opts))
         strategies)
     Test_gfcount.example_units
 
@@ -78,9 +67,8 @@ let test_examples_backend_matrix () =
       List.iter
         (fun (backend, bname) ->
           let run () =
-            with_jobs 1 (fun () ->
-                Test_differential.reset_world ();
-                unit { E.default with E.backend })
+            Test_differential.reset_world ();
+            unit { E.default with E.backend }
           in
           Alcotest.(check string)
             (Printf.sprintf "%s [%s] armed = disarmed" name bname)
@@ -90,8 +78,7 @@ let test_examples_backend_matrix () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential battery: 500 qcheck trials, each one seed of the base
-   (0–299) or dense (300–399) family under one strategy at one jobs
-   level. Symbolic on the dense family degenerates to Exact and re-pays
+   (0–299) or dense (300–399) family under one strategy. Symbolic on the dense family degenerates to Exact and re-pays
    the full splinter cost, so dense trials draw from the other three
    strategies (same carve-out as test_differential).                    *)
 
@@ -109,24 +96,22 @@ let battery_property n =
         (n / 400 mod 3)
     else List.nth strategies (n / 400 mod 4)
   in
-  let jobs = if n / 1600 mod 2 = 0 then 1 else 4 in
   let opts = { E.default with E.strategy } in
-  let run jobs opts =
-    with_jobs jobs (fun () ->
-        Test_differential.reset_world ();
-        render
-          (E.count ~opts ~vars:case.Test_differential.vars
-             case.Test_differential.formula))
+  let run opts =
+    Test_differential.reset_world ();
+    render
+      (E.count ~opts ~vars:case.Test_differential.vars
+         case.Test_differential.formula)
   in
-  let expected = reference (fun () -> run 1 (pugh opts)) in
-  let pipeline = run jobs opts in
+  let expected = reference (fun () -> run (pugh opts)) in
+  let pipeline = run opts in
   if String.equal expected pipeline then true
   else
     QCheck.Test.fail_reportf
-      "seed %d [%s] jobs=%d: reference@1 and pipeline diverge\n\
+      "seed %d [%s]: reference and pipeline diverge\n\
        reference: %s\n\
        pipeline:  %s"
-      seed sname jobs expected pipeline
+      seed sname expected pipeline
 
 let battery_qcheck =
   QCheck_alcotest.to_alcotest
@@ -214,15 +199,15 @@ let test_prefilter_decisive () =
 
 (* ------------------------------------------------------------------ *)
 (* Plan determinism: the plan is a pure function of the clause —
-   identical across repeated calls, jobs levels, and live pool domains. *)
+   identical across repeated calls and on another domain.               *)
 
 let plan_fingerprint cls ~vars =
   cls
   |> List.map (fun c ->
          let d = Planner.plan_clause ~exact:true ~const_poly:true ~vars c in
-         Printf.sprintf "gf=%b ord=%b fan=%d rows=%d w=%d [%s]"
+         Printf.sprintf "gf=%b ord=%b fan=%d rows=%d [%s]"
            d.Planner.use_gf d.Planner.adaptive_order d.Planner.predicted_fanout
-           d.Planner.rows d.Planner.weight
+           d.Planner.rows
            (String.concat " " (List.map V.to_string (Planner.order c vars))))
   |> String.concat "\n"
 
@@ -239,24 +224,18 @@ let test_plan_determinism () =
   List.iter
     (fun (names, f) ->
       let vars = List.map V.named names in
-      let run jobs =
-        with_jobs jobs (fun () ->
-            Test_differential.reset_world ();
-            let cls = E.to_clauses f in
-            ( plan_fingerprint cls ~vars,
-              Planner.explain ~exact:true ~const_poly:true ~vars cls ))
+      let run () =
+        Test_differential.reset_world ();
+        let cls = E.to_clauses f in
+        ( plan_fingerprint cls ~vars,
+          Planner.explain ~exact:true ~const_poly:true ~vars cls )
       in
-      let p1, e1 = run 1 in
+      let p1, e1 = run () in
       List.iter
-        (fun jobs ->
-          let p, e = run jobs in
-          Alcotest.(check string)
-            (Printf.sprintf "plan fingerprint jobs=%d" jobs)
-            p1 p;
-          Alcotest.(check string)
-            (Printf.sprintf "explain jobs=%d" jobs)
-            e1 e)
-        [ 1; 4 ])
+        (fun (where, (p, e)) ->
+          Alcotest.(check string) ("plan fingerprint " ^ where) p1 p;
+          Alcotest.(check string) ("explain " ^ where) e1 e)
+        [ ("repeated", run ()); ("on another domain", Domain.join (Domain.spawn run)) ])
     formulas
 
 (* ------------------------------------------------------------------ *)
@@ -287,38 +266,34 @@ let test_planner_engaged () =
       "planner never routed a dense concrete clause to the gf backend"
 
 (* ------------------------------------------------------------------ *)
-(* Governor chaos through the pipeline: probes charge fuel and
-   fault injection can kill tasks mid-plan; outcomes must still be
+(* Governor chaos through the pipeline: probes charge fuel and fault
+   injection can trip the budget mid-plan; outcomes must still be
    Complete-and-correct or a bracketing Partial.                        *)
 
-let chaos_property ~jobs n =
-  with_jobs jobs (fun () ->
-      let seed = 300 + (n mod 100) in
-      let case = Test_differential.gen_dense_case seed in
-      Chaos.set None;
-      Test_differential.reset_world ();
-      let truth = Test_differential.brute case in
-      Test_differential.reset_world ();
-      let label = Printf.sprintf "planner-chaos jobs=%d case=%d" jobs seed in
-      Chaos.set ~rate:5 (Some (0x91a7 + (n * 3)));
-      let outcome =
-        Fun.protect
-          ~finally:(fun () -> Chaos.set None)
-          (fun () ->
-            G.count ~vars:case.Test_differential.vars
-              case.Test_differential.formula)
-      in
-      Test_governor.check_chaos_outcome ~label ~truth ~strategy:E.Exact
-        ~env:case.Test_differential.env outcome;
-      true)
+let chaos_property n =
+  let seed = 300 + (n mod 100) in
+  let case = Test_differential.gen_dense_case seed in
+  Chaos.set None;
+  Test_differential.reset_world ();
+  let truth = Test_differential.brute case in
+  Test_differential.reset_world ();
+  let label = Printf.sprintf "planner-chaos case=%d" seed in
+  Chaos.set ~rate:5 (Some (0x91a7 + (n * 3)));
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Chaos.set None)
+      (fun () ->
+        G.count ~vars:case.Test_differential.vars case.Test_differential.formula)
+  in
+  Test_governor.check_chaos_outcome ~label ~truth ~strategy:E.Exact
+    ~env:case.Test_differential.env outcome;
+  true
 
-let chaos_qcheck ~jobs =
+let chaos_qcheck =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:(Printf.sprintf "adaptive chaos battery, jobs=%d" jobs)
-       ~count:40
+    (QCheck.Test.make ~name:"adaptive chaos battery, jobs=1" ~count:80
        QCheck.(int_bound 10_000)
-       (chaos_property ~jobs))
+       chaos_property)
 
 (* Deterministic fuel trip: probes are metered, so a tiny budget through
    the pipeline must yield a bracketing Partial, not a crash, a
@@ -358,8 +333,7 @@ let suite =
         test_plan_determinism;
       Alcotest.test_case "adaptive path engages (pins pruned, gf routed)"
         `Quick test_planner_engaged;
-      chaos_qcheck ~jobs:1;
-      chaos_qcheck ~jobs:4;
+      chaos_qcheck;
       Alcotest.test_case "tiny fuel through adaptive yields bracketing Partial"
         `Quick test_fuel_partial_adaptive;
     ] )

@@ -146,6 +146,82 @@ let test_roundtrip_against_builder () =
            parsed))
     [ (2, 3); (3, 3); (6, 3); (7, 3); (0, 3); (8, 3) ]
 
+(* ------------------------------------------------------------------ *)
+(* Fuzzing: on any input, [parse_query] returns a query or raises
+   [Parse_error] — nothing else may escape into omegad's reader.        *)
+
+let fuzz_seeds =
+  [|
+    "count { i, j : 1 <= i <= j <= n }";
+    "sum { i : 1 <= i and 3*i <= n } i^2";
+    "count { i : 1 <= i <= n and floor(i/4) >= 2 and i mod 3 = 0 }";
+    "count { i, j : exists (a : 2*a = i) and not (j > n) or 3 | i + 1 }";
+    "sum { i : 1 <= i <= n } ceil(i/3) * (i mod 2) - (i + 1)^2";
+    "count { x : forall (y : y >= x || y < 0) && !(x != 4) }";
+  |]
+
+let fuzz_vocabulary =
+  [|
+    "count"; "sum"; "{"; "}"; ":"; ","; "i"; "j"; "n"; "<="; "<"; ">=";
+    ">"; "="; "!="; "and"; "or"; "not"; "&&"; "||"; "!"; "exists";
+    "forall"; "("; ")"; "|"; "mod"; "floor"; "ceil"; "/"; "*"; "^"; "+";
+    "-"; "0"; "1"; "3"; "97"; "123456789012345678901234567890"; "#"; "\"";
+  |]
+
+let big_int_gen =
+  QCheck.Gen.(
+    map
+      (fun ds -> String.concat "" (List.map string_of_int ds))
+      (list_size (int_range 20 300) (int_bound 9)))
+
+let query_fuzz_gen =
+  let open QCheck.Gen in
+  let seed = oneofa fuzz_seeds in
+  let token = oneofa fuzz_vocabulary in
+  let printable_char = map Char.chr (int_range 32 126) in
+  oneof
+    [
+      (* token soup *)
+      map (String.concat " ") (list_size (int_bound 40) token);
+      (* truncated valid queries *)
+      (let* s = seed in
+       let* k = int_bound (String.length s) in
+       return (String.sub s 0 k));
+      (* byte flips *)
+      (let* s = seed in
+       let* flips = list_size (int_range 1 3) (pair (int_bound 1000) printable_char) in
+       let b = Bytes.of_string s in
+       List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+       return (Bytes.to_string b));
+      (* a stray token spliced in *)
+      (let* s = seed in
+       let* k = int_bound (String.length s) in
+       let* t = token in
+       return (String.sub s 0 k ^ " " ^ t ^ " " ^ String.sub s k (String.length s - k)));
+      (* deep nesting, balanced or not *)
+      (let* d = int_range 1 2000 in
+       let* close = bool in
+       return
+         (Printf.sprintf "count { i : %si >= 1%s }" (String.make d '(')
+            (if close then String.make d ')' else "")));
+      (* huge coefficients and constants *)
+      (let* a = big_int_gen and* b = big_int_gen and* sum = bool in
+       return
+         (if sum then Printf.sprintf "sum { i : 1 <= i <= %s } %s*i^2 mod %s" b a b
+          else Printf.sprintf "count { i : %s*i <= %s and %s | i }" a b a));
+      string_size ~gen:printable_char (int_bound 80);
+    ]
+
+let fuzz_parse_query =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"parse_query returns or raises Parse_error"
+       ~count:1000
+       (QCheck.make ~print:(fun s -> s) query_fuzz_gen)
+       (fun s ->
+         match Preslang.parse_query s with
+         | _ -> true
+         | exception Preslang.Parse_error _ -> true))
+
 let suite =
   ( "preslang",
     [
@@ -159,4 +235,5 @@ let suite =
       Alcotest.test_case "parse errors" `Quick test_errors;
       Alcotest.test_case "parsed vs built formulas" `Quick
         test_roundtrip_against_builder;
+      fuzz_parse_query;
     ] )

@@ -101,6 +101,80 @@ let serial_certified_body ?(opts = E.default) ~at qtext =
           Alcotest.failf "serial certified run of %s was partial" qtext)
 
 (* ------------------------------------------------------------------ *)
+(* Fuzzing: [Proto.parse] answers every line with [Ok] or [Error]      *)
+
+let proto_seeds =
+  [|
+    {|{"id":1,"query":"count { i : 1 <= i <= n }","at":{"n":10}}|};
+    {|{"id":"x","op":"ping"}|};
+    {|{"op":"metrics"}|};
+    {|{"id":2,"query":"count { i : i <= n }","at":{"n":5,"m":-3},"strategy":"upper","backend":"gf","merge":false,"certify":true,"deadline_ms":100,"fuel":1000,"max_fanout":8,"max_clauses":4}|};
+  |]
+
+let proto_fields =
+  [|
+    "id"; "op"; "query"; "at"; "strategy"; "backend"; "merge"; "certify";
+    "deadline_ms"; "fuel"; "max_fanout"; "max_clauses"; "plan";
+  |]
+
+let proto_values =
+  [|
+    {|"count"|}; {|"ping"|}; {|"shutdown"|}; {|"nope"|}; "true"; "null"; "-1";
+    "0"; "1e400"; "-1e400"; "2.5"; "123456789012345678901234567890";
+    {|{"n":123456789012345678901234567890}|}; {|{"n":1.5}|}; {|{"n":"7"}|};
+    "[]"; "{}"; {|"count { i : 1 <= i <= n }"|};
+  |]
+
+let proto_fuzz_gen =
+  let open QCheck.Gen in
+  let seed = oneofa proto_seeds in
+  let printable_char = map Char.chr (int_range 32 126) in
+  let nested d = String.make d '[' ^ String.make d ']' in
+  oneof
+    [
+      (* truncated lines *)
+      (let* s = seed in
+       let* k = int_bound (String.length s) in
+       return (String.sub s 0 k));
+      (* byte flips *)
+      (let* s = seed in
+       let* flips = list_size (int_range 1 3) (pair (int_bound 1000) printable_char) in
+       let b = Bytes.of_string s in
+       List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+       return (Bytes.to_string b));
+      (* duplicate and ill-typed fields spliced in front *)
+      (let* s = seed in
+       let* extra =
+         list_size (int_range 1 4)
+           (pair (oneofa proto_fields) (oneofa proto_values))
+       in
+       return
+         ("{"
+         ^ String.concat "" (List.map (fun (f, v) -> Printf.sprintf "%S:%s," f v) extra)
+         ^ String.sub s 1 (String.length s - 1)));
+      (* nesting around Ojson.max_depth, in the id or in a binding *)
+      (let* d = int_range (Obs.Ojson.max_depth - 8) (Obs.Ojson.max_depth + 64) in
+       oneofl
+         [
+           Printf.sprintf {|{"id":%s,"op":"ping"}|} (nested d);
+           Printf.sprintf {|{"query":"count { i : i <= n }","at":{"n":%s}}|} (nested d);
+         ]);
+      (* huge numbers where integers are expected *)
+      (let* digits = string_size ~gen:(char_range '0' '9') (int_range 20 400) in
+       let* field = oneofl [ "fuel"; "deadline_ms"; "max_fanout"; "id" ] in
+       return
+         (Printf.sprintf {|{"%s":%s,"query":"count { i : i <= n }","at":{"n":%s}}|}
+            field digits digits));
+      string_size ~gen:printable_char (int_bound 80);
+    ]
+
+let fuzz_proto_parse =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Proto.parse returns Ok or Error" ~count:1000
+       (QCheck.make ~print:(fun s -> s) proto_fuzz_gen)
+       (fun s -> match Serve.Proto.parse s with Ok _ | Error _ -> true))
+
+(* ------------------------------------------------------------------ *)
 (* Protocol round-trip                                                 *)
 
 let test_protocol () =
@@ -392,6 +466,11 @@ let test_replay_interleaved () =
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 
+(* Every bound but the last mentions a summation variable, so no floor
+   form shortcuts its residue splinters: it runs until its deadline. *)
+let slow_query =
+  "count { i, j, k : 1 <= i and 97*i <= 89*j and 53*j <= 47*k and k <= n }"
+
 let test_shed () =
   Chaos.set None;
   with_server ~handlers:1 ~queue:2 ~cache:1 ~cache_ttl_s:(-1.) (fun path ->
@@ -399,9 +478,14 @@ let test_shed () =
       Fun.protect
         ~finally:(fun () -> Serve.Client.close c)
         (fun () ->
-          (* Pipeline a burst an order of magnitude over the bound; the
-             reader dispatches the whole chunk before the single handler
-             can drain it, so the excess must shed. *)
+          (* Hold the single handler for two seconds, then pipeline a
+             burst an order of magnitude over the bound: the burst
+             arrives while the handler is busy, however fast its own
+             queries are, so the excess must shed. *)
+          Serve.Client.send c
+            (Printf.sprintf
+               {|{"id":0,"query":"%s","at":{"n":50},"deadline_ms":2000}|}
+               slow_query);
           let n = 30 in
           for i = 1 to n do
             Serve.Client.send c
@@ -409,10 +493,11 @@ let test_shed () =
                  {|{"id":%d,"query":"count { i, j : 1 <= i and j <= n and 97*i <= 101*j }","at":{"n":30}}|}
                  i)
           done;
-          let shed = ref 0 and answered = ref 0 in
-          for _ = 1 to n do
+          let shed = ref 0 and answered = ref 0 and held = ref None in
+          for _ = 0 to n do
             match Serve.Client.recv c with
             | None -> Alcotest.fail "connection died mid-burst"
+            | Some r when member "id" r = Some (J.Num 0.) -> held := Some (status r)
             | Some r -> (
                 match status r with
                 | "shed" ->
@@ -426,6 +511,8 @@ let test_shed () =
                 | "complete" -> incr answered
                 | s -> Alcotest.failf "unexpected status %s in burst" s)
           done;
+          Alcotest.(check (option string))
+            "the held request hit its deadline" (Some "partial") !held;
           Alcotest.(check bool)
             (Printf.sprintf "some of %d were shed (%d)" n !shed)
             true (!shed > 0);
@@ -433,6 +520,45 @@ let test_shed () =
             (Printf.sprintf "some of %d were answered (%d)" n !answered)
             true
             (!answered > 0)))
+
+(* A line that never ends is cut off at the bound: one typed
+   bad_request, the connection closed, and the server still serving
+   every other connection. *)
+let test_long_line () =
+  with_server ~handlers:1 (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              let payload = Bytes.make (2 * Serve.Server.max_line_bytes) 'x' in
+              let rec push off =
+                if off < Bytes.length payload then
+                  match Unix.write fd payload off (Bytes.length payload - off) with
+                  | n -> push (off + n)
+                  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+                    ->
+                      ()
+              in
+              push 0;
+              let ic = Unix.in_channel_of_descr fd in
+              let r = input_line ic in
+              Alcotest.(check string) "status" "error" (status r);
+              Alcotest.(check (option string))
+                "class" (Some "bad_request")
+                (match member "class" r with Some (J.Str s) -> Some s | _ -> None);
+              Alcotest.(check bool)
+                "connection closed after the error" true
+                (match input_line ic with
+                | _ -> false
+                | exception (End_of_file | Sys_error _) -> true));
+          Alcotest.(check string)
+            "another connection is still answered" "ok"
+            (status (Serve.Client.request c {|{"id":1,"op":"ping"}|}))))
 
 (* ------------------------------------------------------------------ *)
 (* Value cache: hits, metrics, eviction                                *)
@@ -672,12 +798,7 @@ let test_chaos_under_load () =
             chaos_queries))
 
 (* ------------------------------------------------------------------ *)
-(* One domain per core: handlers never fan out                         *)
-
-let with_jobs n f =
-  let saved = Counting.Pool.jobs () in
-  Counting.Pool.set_jobs n;
-  Fun.protect ~finally:(fun () -> Counting.Pool.set_jobs saved) f
+(* One domain per core: concurrent handlers answer as the runner does  *)
 
 (* The body [Counting.Query.run] renders for a complete request, the
    certificate spliced in as the server does: a cold run, parsed and
@@ -703,28 +824,20 @@ let query_run_body ?(merge = true) ~certify ~at qtext =
       | Counting.Governor.Partial _, _ ->
           Alcotest.failf "Query.run of %s was partial" qtext)
 
-(* Even with the process pool at 4 jobs, two concurrent splinter
-   requests (one certified) run serially on their handler domains: no
-   pool task runs, and each body is the jobs-1 runner's, byte for
-   byte. *)
-let test_handlers_never_fan_out () =
+(* Two concurrent splinter requests (one certified), each on its own
+   handler domain, answer with the runner's bodies, byte for byte. *)
+let test_concurrent_handlers () =
   Chaos.set None;
   let q = "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }" in
   let at = [ ("n", Zint.of_int 100) ] in
   let expected =
-    with_jobs 1 (fun () ->
-        List.map (fun certify -> query_run_body ~certify ~at q) [ false; true ])
+    List.map (fun certify -> query_run_body ~certify ~at q) [ false; true ]
   in
-  with_jobs 4 @@ fun () ->
   with_server ~handlers:2 (fun path ->
       let c = Serve.Client.connect ~retries:100 path in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close c)
         (fun () ->
-          let tasks () =
-            Option.get (metric_value (get_metrics c) "omega_pool_tasks_total")
-          in
-          let before = tasks () in
           let client certify =
             Domain.spawn (fun () ->
                 let c = Serve.Client.connect ~retries:100 path in
@@ -741,11 +854,9 @@ let test_handlers_never_fan_out () =
               (fun d -> strip_id (Domain.join d))
               (List.map client [ false; true ])
           in
-          Alcotest.(check int) "pool.tasks delta" 0 (tasks () - before);
           List.iter2
             (fun name (want, got) -> Alcotest.(check string) name want got)
-            [ "plain body = Query.run at jobs 1";
-              "certified body = Query.run at jobs 1" ]
+            [ "plain body = Query.run"; "certified body = Query.run" ]
             (List.combine expected bodies)))
 
 (* ------------------------------------------------------------------ *)
@@ -1023,8 +1134,8 @@ let test_sigterm_drain () =
           for i = 1 to 3 do
             Serve.Client.send c
               (Printf.sprintf
-                 {|{"id":%d,"query":"count { i, j, k : 1 <= i and 97*i <= 89*j and 53*j <= 47*k and k <= n }","at":{"n":50},"deadline_ms":30000}|}
-                 i)
+                 {|{"id":%d,"query":"%s","at":{"n":50},"deadline_ms":30000}|}
+                 i slow_query)
           done;
           Unix.sleepf 0.3;
           Unix.kill (Unix.getpid ()) Sys.sigterm;
@@ -1086,12 +1197,15 @@ let suite =
         `Quick test_replay_interleaved;
       Alcotest.test_case "admission control sheds with typed responses" `Quick
         test_shed;
+      Alcotest.test_case "over-long request line rejected, server serves on"
+        `Quick test_long_line;
+      fuzz_proto_parse;
       Alcotest.test_case "answer cache: identical bodies, metrics, eviction"
         `Quick test_cache;
       Alcotest.test_case "chaos under concurrent load (>=200 faults)" `Quick
         test_chaos_under_load;
-      Alcotest.test_case "handlers never fan out (pool at jobs 4)" `Quick
-        test_handlers_never_fan_out;
+      Alcotest.test_case "concurrent handlers answer as Query.run" `Quick
+        test_concurrent_handlers;
       Alcotest.test_case "value tier: new bindings equal cold runs" `Quick
         test_value_tier_bindings;
       Alcotest.test_case "value tier: exact keys survive a fingerprint collision"

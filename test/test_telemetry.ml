@@ -505,13 +505,10 @@ let identity_formulas =
         ] );
   ]
 
-let test_byte_identity_jobs jobs () =
-  let saved = Counting.Pool.jobs () in
-  Counting.Pool.set_jobs jobs;
+let test_byte_identity () =
   let tele = Filename.temp_file "omega_test_tele" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->
-      Counting.Pool.set_jobs saved;
       T.set_file None;
       Obs.Log.set_level None;
       Obs.Log.set_sink stderr;
@@ -538,7 +535,7 @@ let test_byte_identity_jobs jobs () =
       T.set_file None;
       close_out_noerr null;
       Alcotest.(check string)
-        (Printf.sprintf "%s identical at jobs=%d" label jobs)
+        (label ^ " identical")
         plain
         (Counting.Value.to_string v2))
     identity_formulas
@@ -601,10 +598,7 @@ let suite =
         test_chaos_postmortem_battery;
       Alcotest.test_case "postmortem disabled is a no-op" `Quick
         test_postmortem_disabled_noop;
-      Alcotest.test_case "byte-identity jobs=1" `Quick
-        (test_byte_identity_jobs 1);
-      Alcotest.test_case "byte-identity jobs=4" `Quick
-        (test_byte_identity_jobs 4);
+      Alcotest.test_case "byte-identity jobs=1" `Quick test_byte_identity;
       Alcotest.test_case "failed query leaves a failed card" `Quick
         test_failed_query_card;
     ] )
