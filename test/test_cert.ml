@@ -9,7 +9,8 @@
      bound rewritten, summand perturbed, Farkas multiplier negated) makes
      the checker reject.
    - Degradation: under the governor's chaos battery (injected fuel /
-     deadline faults), Partial certificates
+     deadline faults, serially and on four handler domains at once),
+     Partial certificates
      validate — the sound lower bound and the relaxation upper bound both
      replay, and they bracket the brute-force truth.
    - Robustness: [Obs.Ojson.parse] never raises on adversarial input and
@@ -282,6 +283,32 @@ let check_bracket ~label ~truth (s : Certcheck.summary) =
       | _ -> ())
     s.Certcheck.evals
 
+(* Tally one chaos outcome, then replay its certificate: the checker
+   must accept, and partial bounds that replayed must also bracket the
+   truth — soundness of what was certified, not just internal
+   consistency. (Complete outcomes under Upper / Lower strategies are
+   deliberate approximations, so only partial entries carry bracketing
+   claims.) *)
+let check_chaos_cert ~label ~truth (outcome, cert) =
+  (match outcome with
+  | G.Partial _ -> incr chaos_partials
+  | G.Complete _ -> ());
+  match Certcheck.check_exact (reparse cert) with
+  | Certcheck.Accepted s ->
+      if s.Certcheck.status = "partial" then check_bracket ~label ~truth s
+  | Certcheck.Rejected msg -> Alcotest.failf "%s: checker rejected: %s" label msg
+  | Certcheck.Overflowed -> Alcotest.failf "%s: exact backend overflow" label
+
+(* A recorded governed count of [case] and the certificate built from it. *)
+let certified_count ~label ~opts (case : Td.case) () =
+  let (outcome, events, dropped) =
+    Certify.with_recording (fun () ->
+        G.count ~opts ~vars:case.Td.vars case.Td.formula)
+  in
+  ( outcome,
+    Certify.build ~opts ~vars:case.Td.vars ~summand:Qpoly.one ~query:label
+      ~ats:(ats_of case.Td.env) ~outcome ~events ~dropped case.Td.formula )
+
 let chaos_cert_property n =
   let case = Td.gen_case (n mod 150) in
   Chaos.set None;
@@ -294,37 +321,14 @@ let chaos_cert_property n =
       Td.reset_world ();
       Chaos.set ~rate:5 (Some ((n * 4) + i));
       let before = Chaos.injections () in
-      let (outcome, events, dropped) =
+      let result =
         Fun.protect
           ~finally:(fun () -> Chaos.set None)
-          (fun () ->
-            Certify.with_recording (fun () ->
-                G.count ~opts ~vars:case.Td.vars case.Td.formula))
+          (certified_count ~label ~opts case)
       in
       incr chaos_total_runs;
       if Chaos.injections () > before then incr chaos_injected_runs;
-      (match outcome with
-      | G.Partial _ -> incr chaos_partials
-      | G.Complete _ -> ());
-      let cert =
-        Certify.build ~opts ~vars:case.Td.vars ~summand:Qpoly.one
-          ~query:label ~ats:(ats_of case.Td.env) ~outcome
-          ~events ~dropped case.Td.formula
-      in
-      let cert = reparse cert in
-      match Certcheck.check_exact cert with
-      | Certcheck.Accepted s ->
-          (* Partial bounds that replayed must also bracket the
-             truth — soundness of what was certified, not just
-             internal consistency. (Complete outcomes under Upper /
-             Lower strategies are deliberate approximations, so only
-             partial entries carry bracketing claims.) *)
-          if s.Certcheck.status = "partial" then
-            check_bracket ~label ~truth s
-      | Certcheck.Rejected msg ->
-          Alcotest.failf "%s: checker rejected: %s" label msg
-      | Certcheck.Overflowed ->
-          Alcotest.failf "%s: exact backend overflow" label)
+      check_chaos_cert ~label ~truth result)
     strategies;
   true
 
@@ -333,6 +337,42 @@ let chaos_qcheck =
     (QCheck.Test.make ~name:"chaos certificate battery, jobs=1" ~count:70
        QCheck.(int_bound 10_000)
        chaos_cert_property)
+
+(* The same property on four handler domains at once (see
+   [Test_governor.on_handler_domains]): one strategy per domain, each
+   recording and building its certificate under its own request
+   context. *)
+let chaos_cert_handlers_property n =
+  let case = Td.gen_case (n mod 150) in
+  Chaos.set None;
+  Td.reset_world ();
+  let truth = Td.brute case in
+  let label sname =
+    Printf.sprintf "chaos-cert jobs=%d n=%d [%s]" Test_governor.handler_jobs n
+      sname
+  in
+  let results, _ =
+    Test_governor.on_handler_domains ~chaos_seed:(0x5c3d + n)
+      (List.map
+         (fun (sname, strategy) ->
+           certified_count ~label:(label sname)
+             ~opts:{ E.default with strategy } case)
+         strategies)
+  in
+  List.iter2
+    (fun (sname, _) result -> check_chaos_cert ~label:(label sname) ~truth result)
+    strategies results;
+  true
+
+let chaos_handlers_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:
+         (Printf.sprintf "chaos certificate battery, jobs=%d"
+            Test_governor.handler_jobs)
+       ~count:35
+       QCheck.(int_bound 10_000)
+       chaos_cert_handlers_property)
 
 let test_chaos_quota () =
   if !chaos_injected_runs < 200 then
@@ -574,6 +614,7 @@ let suite =
       Alcotest.test_case "mutation: farkas multiplier" `Quick
         test_mutation_farkas;
       chaos_qcheck;
+      chaos_handlers_qcheck;
       Alcotest.test_case "chaos battery quota" `Quick test_chaos_quota;
       Alcotest.test_case "ojson adversarial inputs" `Quick
         test_parse_adversarial;

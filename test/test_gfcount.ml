@@ -181,6 +181,54 @@ let chaos_qcheck =
        QCheck.(int_bound 10_000)
        chaos_property)
 
+(* The same property on four handler domains at once (see
+   [Test_governor.on_handler_domains]): two consecutive dense cases,
+   each under both backends, one run per domain. *)
+let chaos_handlers_property n =
+  let cases =
+    List.map
+      (fun j ->
+        let seed = 300 + ((n + j) mod 150) in
+        let case = Test_differential.gen_dense_case seed in
+        Chaos.set None;
+        Test_differential.reset_world ();
+        (seed, case, Test_differential.brute case))
+      [ 0; 1 ]
+  in
+  let runs =
+    List.concat_map
+      (fun c -> List.map (fun b -> (c, b)) backends)
+      cases
+  in
+  let outcomes, _ =
+    Test_governor.on_handler_domains ~chaos_seed:(0x6fc0 + (n * 2))
+      (List.map
+         (fun ((_, case, _), (backend, _)) () ->
+           G.count
+             ~opts:{ E.default with backend }
+             ~vars:case.Test_differential.vars case.Test_differential.formula)
+         runs)
+  in
+  List.iter2
+    (fun ((seed, case, truth), (_, bname)) outcome ->
+      let label =
+        Printf.sprintf "gf-chaos jobs=%d case=%d [%s]"
+          Test_governor.handler_jobs seed bname
+      in
+      Test_governor.check_chaos_outcome ~label ~truth ~strategy:E.Exact
+        ~env:case.Test_differential.env outcome)
+    runs outcomes;
+  true
+
+let chaos_handlers_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:
+         (Printf.sprintf "gf chaos battery, jobs=%d" Test_governor.handler_jobs)
+       ~count:40
+       QCheck.(int_bound 10_000)
+       chaos_handlers_property)
+
 (* Deterministic fuel trip through the gfcount path: tiny fuel on a
    dense case must yield a bracketing Partial, not a crash or a wrong
    Complete. *)
@@ -215,6 +263,7 @@ let suite =
       Alcotest.test_case "auto dispatches to gfcount; gf falls back" `Quick
         test_gf_engaged;
       chaos_qcheck;
+      chaos_handlers_qcheck;
       Alcotest.test_case "tiny fuel through gfcount yields bracketing Partial"
         `Quick test_fuel_partial_gf;
     ] )

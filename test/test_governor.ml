@@ -3,7 +3,8 @@
 
    The core claim under test: under ANY injected fault schedule — fuel
    exhaustion or deadline expiry at randomized checkpoints, across
-   strategies — a governed query
+   strategies, serially or with four handler domains sharing one
+   fault schedule — a governed query
    either completes with the correct answer or returns a well-formed
    [Partial] whose bounds bracket the brute-force count. Never a hang,
    a crash, or a silently wrong total. *)
@@ -123,6 +124,73 @@ let chaos_qcheck =
        QCheck.(int_bound 10_000)
        chaos_property)
 
+(* The jobs=4 batteries run governed queries on four handler domains at
+   once, as omegad serves concurrent requests: each query runs under its
+   own request context (Serve.Ctx) while all of them share one chaos
+   schedule, so faults land wherever the interleaving puts them. Every
+   outcome must still be sound. [on_handler_domains ~chaos_seed thunks]
+   runs each thunk on its own domain, joins every domain before
+   re-raising the first failure, and returns the results in order
+   together with whether any fault fired during the batch. *)
+let handler_jobs = 4
+
+let on_handler_domains ~chaos_seed thunks =
+  Chaos.set ~rate:5 (Some chaos_seed);
+  let before = Chaos.injections () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Chaos.set None)
+      (fun () ->
+        List.map
+          (fun f -> Domain.spawn (fun () -> Serve.Ctx.with_request f))
+          thunks
+        |> List.map (fun d ->
+               match Domain.join d with
+               | v -> Ok v
+               | exception e -> Error e))
+  in
+  let injected = Chaos.injections () > before in
+  (List.map (function Ok v -> v | Error e -> raise e) results, injected)
+
+let handler_batches = ref 0
+let handler_batches_with_injection = ref 0
+
+(* One concurrent batch: a differential-harness case under all four
+   strategies, one strategy per handler domain. *)
+let chaos_handlers_property n =
+  let case = Test_differential.gen_case (n mod 150) in
+  Chaos.set None;
+  Test_differential.reset_world ();
+  let truth = Test_differential.brute case in
+  let outcomes, injected =
+    on_handler_domains ~chaos_seed:(0x4a0b + n)
+      (List.map
+         (fun (_, strategy) () ->
+           G.count
+             ~opts:{ E.default with strategy }
+             ~vars:case.Test_differential.vars case.Test_differential.formula)
+         strategies)
+  in
+  incr handler_batches;
+  if injected then incr handler_batches_with_injection;
+  List.iter2
+    (fun (sname, strategy) outcome ->
+      let label =
+        Printf.sprintf "chaos jobs=%d case=%d [%s]" handler_jobs n sname
+      in
+      check_chaos_outcome ~label ~truth ~strategy
+        ~env:case.Test_differential.env outcome)
+    strategies outcomes;
+  true
+
+let chaos_handlers_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:(Printf.sprintf "chaos battery, jobs=%d" handler_jobs)
+       ~count:60
+       QCheck.(int_bound 10_000)
+       chaos_handlers_property)
+
 let test_chaos_quota () =
   if !runs_with_injection < 200 then
     Alcotest.failf
@@ -131,7 +199,10 @@ let test_chaos_quota () =
   if !completes_seen = 0 then
     Alcotest.fail "chaos battery never exercised the Complete path";
   if !partials_seen = 0 then
-    Alcotest.fail "chaos battery never exercised the Partial path"
+    Alcotest.fail "chaos battery never exercised the Partial path";
+  if !handler_batches_with_injection = 0 then
+    Alcotest.failf "no fault fired in any of the %d jobs=%d batches"
+      !handler_batches handler_jobs
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines: prompt degradation, the engine stays reusable             *)
@@ -340,6 +411,7 @@ let suite =
   ( "governor",
     [
       chaos_qcheck;
+      chaos_handlers_qcheck;
       Alcotest.test_case "chaos battery quota (>=200 injected-fault runs)"
         `Quick test_chaos_quota;
       Alcotest.test_case "50ms deadline degrades promptly, jobs=1" `Quick

@@ -295,6 +295,47 @@ let chaos_qcheck =
        QCheck.(int_bound 10_000)
        chaos_property)
 
+(* The same property on four handler domains at once (see
+   [Test_governor.on_handler_domains]): four consecutive dense cases, one
+   per domain. *)
+let chaos_handlers_property n =
+  let cases =
+    List.init Test_governor.handler_jobs (fun j ->
+        let seed = 300 + ((n + j) mod 100) in
+        let case = Test_differential.gen_dense_case seed in
+        Chaos.set None;
+        Test_differential.reset_world ();
+        (seed, case, Test_differential.brute case))
+  in
+  let outcomes, _ =
+    Test_governor.on_handler_domains ~chaos_seed:(0x91a7 + (n * 3))
+      (List.map
+         (fun (_, case, _) () ->
+           G.count ~vars:case.Test_differential.vars
+             case.Test_differential.formula)
+         cases)
+  in
+  List.iter2
+    (fun (seed, case, truth) outcome ->
+      let label =
+        Printf.sprintf "planner-chaos jobs=%d case=%d"
+          Test_governor.handler_jobs seed
+      in
+      Test_governor.check_chaos_outcome ~label ~truth ~strategy:E.Exact
+        ~env:case.Test_differential.env outcome)
+    cases outcomes;
+  true
+
+let chaos_handlers_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:
+         (Printf.sprintf "adaptive chaos battery, jobs=%d"
+            Test_governor.handler_jobs)
+       ~count:40
+       QCheck.(int_bound 10_000)
+       chaos_handlers_property)
+
 (* Deterministic fuel trip: probes are metered, so a tiny budget through
    the pipeline must yield a bracketing Partial, not a crash, a
    hang in the probe loop, or a wrong Complete. *)
@@ -334,6 +375,7 @@ let suite =
       Alcotest.test_case "adaptive path engages (pins pruned, gf routed)"
         `Quick test_planner_engaged;
       chaos_qcheck;
+      chaos_handlers_qcheck;
       Alcotest.test_case "tiny fuel through adaptive yields bracketing Partial"
         `Quick test_fuel_partial_adaptive;
     ] )
