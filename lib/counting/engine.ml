@@ -166,6 +166,29 @@ let upper_geq v (a, alpha) = A.sub alpha (A.scale a (A.var v))
 
 let remove_var vars v = List.filter (fun u -> not (V.equal u v)) vars
 
+(* Redundancy elimination pays only where an implied bound could force a
+   bound split or sway the variable choice (Sec 4.4): some summation
+   variable with two lower or two upper bounds. When every variable has
+   at most one of each, each bound is irredundant in a feasible clause —
+   with the others fixed, moving v away from its lone bound violates it
+   and nothing else — so the pass could only drop constraints free of
+   summation variables, which [Value.simplify] removes from the final
+   guards anyway. Such a clause, the leaf ([vars = []]) included, gets
+   one feasibility test instead of the pass's k + 1. *)
+let splittable vars (c : C.t) =
+  List.exists
+    (fun v ->
+      let rec many lo hi = function
+        | [] -> false
+        | e :: rest ->
+            let s = Zint.sign (A.coeff e v) in
+            if s > 0 then lo || many true hi rest
+            else if s < 0 then hi || many lo true rest
+            else many lo hi rest
+      in
+      many false false c.geqs)
+    vars
+
 (* [branches n case] evaluates [case 0 … case (n-1)] and concatenates
    the results in branch index order. *)
 let branches n case = Merge.combine (List.init n case)
@@ -223,12 +246,21 @@ let rec go opts ord stats vars poly (clause : C.t) fuel : Value.t =
 
 and convex opts ord stats vars poly clause fuel : Value.t =
   let clause =
-    if opts.eliminate_redundant then
-      match Omega.Gist.remove_redundant clause with
+    if not opts.eliminate_redundant then clause
+    else
+      let reduced =
+        if splittable vars clause then Omega.Gist.remove_redundant clause
+        else if Omega.Solve.is_feasible clause then Some clause
+        else None
+      in
+      match reduced with
       | Some c -> c
-      | None -> { clause with geqs = A.of_int (-1) :: clause.geqs }
-      (* infeasible: normalize in the recursion will drop it *)
-    else clause
+      | None ->
+          (* infeasible: normalize in the recursion will drop it. Summed
+             on instead, it would leave pieces whose guards are feasible
+             and whose values vanish on them: the same function, other
+             bytes. *)
+          { clause with geqs = A.of_int (-1) :: clause.geqs }
   in
   match vars with
   | [] ->

@@ -285,17 +285,33 @@ let obj_keys = function Obj kvs -> List.map fst kvs | _ -> []
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* The escape of each byte, or [""] for a byte copied as is: quote,
+   backslash and newline get their short forms, every other control
+   character a [\u00XX] escape. *)
+let escapes =
+  Array.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | _ when i < 0x20 -> Printf.sprintf "\\u%04x" i
+      | _ -> "")
+
+(* Runs of bytes that need no escape go in with one [add_substring];
+   [s.[start .. i-1]] is the pending run. A top-level function, so a
+   call allocates no closure. *)
+let rec add_escaped_from b s start i =
+  if i = String.length s then Buffer.add_substring b s start (i - start)
+  else
+    let e = escapes.(Char.code (String.unsafe_get s i)) in
+    if String.length e = 0 then add_escaped_from b s start (i + 1)
+    else begin
+      Buffer.add_substring b s start (i - start);
+      Buffer.add_string b e;
+      add_escaped_from b s (i + 1) (i + 1)
+    end
+
+let add_escaped b s = add_escaped_from b s 0 0
 
 let add_num b f =
   if not (Float.is_finite f) then

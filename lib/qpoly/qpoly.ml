@@ -454,28 +454,61 @@ let rec bernoulli n =
         Hashtbl.replace bernoulli_tbl n b;
         b
 
-let faulhaber p x =
+(* The coefficients of F_p, [a.(e)] on x^e for e = 0 .. p+1:
+   F_p(n) = 1/(p+1) Σ_{j=0}^{p} C(p+1, j) B⁺_j n^{p+1-j}. Pure values,
+   memoized per domain like the Bernoulli numbers. *)
+let faulhaber_tbl_key : (int, Qnum.t array) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let faulhaber_coeffs p =
   if p < 0 then invalid_arg "Qpoly.faulhaber: negative power";
-  (* F_p(n) = 1/(p+1) Σ_{j=0}^{p} C(p+1, j) B⁺_j n^{p+1-j} *)
+  let tbl = Domain.DLS.get faulhaber_tbl_key in
+  match Hashtbl.find_opt tbl p with
+  | Some a -> a
+  | None ->
+      let a = Array.make (p + 2) Qnum.zero in
+      let inv = Qnum.of_ints 1 (p + 1) in
+      for j = 0 to p do
+        a.(p + 1 - j) <-
+          Qnum.mul inv
+            (Qnum.mul (Qnum.of_zint (binomial (p + 1) j)) (bernoulli j))
+      done;
+      Hashtbl.replace tbl p a;
+      a
+
+let faulhaber p x =
+  let a = faulhaber_coeffs p in
   let n = var x in
   let acc = ref zero in
-  for j = 0 to p do
-    let c = Qnum.mul (Qnum.of_zint (binomial (p + 1) j)) (bernoulli j) in
-    acc := add !acc (scale c (pow n (p + 1 - j)))
-  done;
-  scale (Qnum.of_ints 1 (p + 1)) !acc
+  Array.iteri (fun e c -> acc := add !acc (scale c (pow n e))) a;
+  !acc
 
-let fresh_bound_var = "%faulhaber"
+(* [d.(e) = hi^e − (lo − 1)^e] for e = 0 .. n, each power built from the
+   one below, so every F_p(hi) − F_p(lo − 1) up to p = n − 1 is a linear
+   combination of [d]. *)
+let power_diffs lo hi n =
+  let lo1 = sub lo one in
+  let ph = ref one and pl = ref one in
+  Array.init (n + 1) (fun e ->
+      if e > 0 then begin
+        ph := mul !ph hi;
+        pl := mul !pl lo1
+      end;
+      sub !ph !pl)
 
-let range_sum p lo hi =
-  let f = faulhaber p fresh_bound_var in
-  let at b = subst f fresh_bound_var b in
-  sub (at hi) (at (sub lo one))
+let range_sum_of_diffs p d =
+  let a = faulhaber_coeffs p in
+  let acc = ref zero in
+  Array.iteri (fun e c -> acc := add !acc (scale c d.(e))) a;
+  !acc
+
+let range_sum p lo hi = range_sum_of_diffs p (power_diffs lo hi (p + 1))
 
 let sum_over t v lo hi =
   let cs = coeffs_in t v in
+  let d = power_diffs lo hi (Array.length cs) in
   let acc = ref zero in
-  Array.iteri (fun k c -> acc := add !acc (mul c (range_sum k lo hi))) cs;
+  Array.iteri (fun k c -> acc := add !acc (mul c (range_sum_of_diffs k d))) cs;
   !acc
 
 let pp fmt (t : t) =

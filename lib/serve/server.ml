@@ -283,13 +283,19 @@ let read_chunk t conn =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
 
+(* Returns a function that puts back the SIGTERM/SIGINT behaviours it
+   replaced, so a process that ran a server in-process (a test binary)
+   answers those signals as before once the server has stopped. *)
 let install_signal_handlers t =
   (* Peers that vanish must surface as EPIPE write errors, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let stop _ = Atomic.set t.stopping true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle stop)
+  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop) in
+  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle stop) in
+  fun () ->
+    Sys.set_signal Sys.sigterm prev_term;
+    Sys.set_signal Sys.sigint prev_int
 
 let run ?(config = default_config) () =
   let t =
@@ -306,7 +312,8 @@ let run ?(config = default_config) () =
       chunk = Bytes.create 65536;
     }
   in
-  install_signal_handlers t;
+  let restore_signals = install_signal_handlers t in
+  Fun.protect ~finally:restore_signals @@ fun () ->
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);

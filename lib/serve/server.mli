@@ -55,5 +55,6 @@ val max_line_bytes : int
 
 (** [run ~config ()] binds the socket and serves until a stop signal or
     a [shutdown] request, then drains and removes the socket. Installs
-    SIGTERM/SIGINT handlers and ignores SIGPIPE. *)
+    SIGTERM/SIGINT handlers, and puts the previous ones back when it
+    returns or raises; ignores SIGPIPE. *)
 val run : ?config:config -> unit -> unit

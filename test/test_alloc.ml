@@ -40,12 +40,11 @@ let e6_baseline = 72_000.
 let gf_baseline = 2_220_000.
 let max_ratio = 1.75
 
-let guard_ratio ~label ~baseline words =
+let guard_ratio ?(unit = "minor words") ~label ~baseline words =
   let ratio = words /. baseline in
   if ratio > max_ratio then
-    Alcotest.failf
-      "%s: %.0f minor words = %.2fx the %.0f-word baseline (max %.2fx)" label
-      words ratio baseline max_ratio
+    Alcotest.failf "%s: %.0f %s = %.2fx the %.0f baseline (max %.2fx)" label
+      words unit ratio baseline max_ratio
 
 let test_example6_minor_words () =
   (* Warm-up absorbs one-time costs (lazy initializers, weak-table
@@ -177,6 +176,41 @@ let test_splinter_eval_minor_words () =
   guard_ratio ~label:"splinter value evaluation"
     ~baseline:splinter_eval_baseline words
 
+(* A certified splinter request always runs [Governor.sum] on the
+   splinter query: 97 residue pieces over one bound pair per variable,
+   so the convex phase runs no redundancy pass, only one feasibility
+   test per clause. With a pass per clause and level the cold sum took
+   ~1.53M words, 1.54x this baseline and inside the ratio, so the sum
+   phase's feasibility queries are guarded too: 388 without the passes,
+   973 with them. *)
+let splinter_sum_baseline = 990_000.
+let splinter_feas_baseline = 388.
+
+let test_splinter_sum_minor_words () =
+  let p =
+    Preslang.parse_query
+      "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }"
+  in
+  let sum () =
+    Counting.Governor.sum ~vars:p.Preslang.vars p.Preslang.formula
+      p.Preslang.summand
+  in
+  ignore (sum ());
+  Omega.Memo.clear_all ();
+  let before = Gc.minor_words () in
+  ignore (sum ());
+  let words = Gc.minor_words () -. before in
+  guard_ratio ~label:"splinter Governor.sum" ~baseline:splinter_sum_baseline
+    words;
+  Omega.Memo.clear_all ();
+  let cls = E.to_clauses p.Preslang.formula in
+  let before = Omega.Memo.snapshot () in
+  ignore (E.clause_sums ~vars:p.Preslang.vars cls p.Preslang.summand);
+  let d = Omega.Memo.diff (Omega.Memo.snapshot ()) before in
+  guard_ratio ~unit:"queries" ~label:"splinter sum-phase feasibility"
+    ~baseline:splinter_feas_baseline
+    (float_of_int d.Omega.Memo.feas_queries)
+
 let suite =
   ( "alloc",
     [
@@ -190,4 +224,6 @@ let suite =
         test_example4_gf_minor_words;
       Alcotest.test_case "splinter value eval minor-words ratio guard" `Quick
         test_splinter_eval_minor_words;
+      Alcotest.test_case "splinter Governor.sum minor-words ratio guard" `Quick
+        test_splinter_sum_minor_words;
     ] )

@@ -652,6 +652,74 @@ let test_small_periods_pinned () =
   Alcotest.(check (pair int string)) "E5b unmerged"
     (965, "d1e167af63aec816b8107a1ac58e97d3") (digest raw)
 
+(* Redundancy elimination runs in the convex phase only where some
+   summation variable has a second lower or upper bound (Sec 4.4): it
+   must still remove an implied second bound rather than split on it,
+   and skipping it elsewhere must leave every answer as it was. *)
+let test_redundancy_gate () =
+  let off = { E.default with eliminate_redundant = false } in
+  (* the splinter query: one bound pair per variable at every level, so
+     no pass runs; its 97 pieces are pinned byte for byte *)
+  Test_differential.reset_world ();
+  let stats = E.new_stats () in
+  let value =
+    query ~stats "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }"
+  in
+  Alcotest.(check (pair int int)) "splinter pieces" (97, 97)
+    (stats.E.pieces, List.length value);
+  let digest s = (String.length s, Digest.to_hex (Digest.string s)) in
+  List.iter
+    (fun (label, v) ->
+      Alcotest.(check (pair int string)) label
+        (14321, "be393cde6ac177450e2a3a3ebcb0dfb4")
+        (digest (Counting.Value.to_string v)))
+    [ ("splinter unmerged", value);
+      ("splinter merged", Counting.Merge.merge_residues value) ];
+  (* E1, the A1 ablation: 2 pieces and 1 bound split with the
+     convex-phase pass and without it *)
+  List.iter
+    (fun (label, opts) ->
+      let stats = E.new_stats () in
+      let value =
+        E.count ~opts ~stats ~vars:[ "i"; "j"; "kk" ] example1_formula
+      in
+      Alcotest.(check (triple int int int)) label (2, 1, 2)
+        (stats.E.pieces, stats.E.bound_splits, List.length value))
+    [ ("E1 with redundancy elimination", E.default);
+      ("E1 without redundancy elimination", off) ];
+  (* i <= 2n is implied by 1 <= i <= n: removed, not split on; the
+     clause goes to the engine as is, past the DNF's own pass *)
+  let i = v "i" and n = v "n" in
+  let clause =
+    Omega.Clause.make
+      ~geqs:[ A.sub i (k 1); A.sub n i; A.sub (A.scale Zint.two n) i ]
+      ()
+  in
+  let sum opts =
+    let stats = E.new_stats () in
+    let value = E.sum_clauses ~opts ~stats ~vars:[ "i" ] [ clause ] Qpoly.one in
+    (stats.E.bound_splits, Counting.Value.to_string value)
+  in
+  Alcotest.(check (pair int string)) "implied second upper bound removed"
+    (0, "(sum : n - 1 >= 0 : n)") (sum E.default);
+  Alcotest.(check int) "ablation splits on it" 1 (fst (sum off));
+  (* an infeasible clause is still cut where no pass runs: summed under
+     the rational relaxation it would add a piece (differential seed
+     169, whose upper bound would gain (sum : n + 2 >= 0 && -n - 1 >= 0
+     : 1/6*n + 4/3)) *)
+  let case = Test_differential.gen_case 169 in
+  Test_differential.reset_world ();
+  Alcotest.(check string) "infeasible inner clause cut" "(sum : n >= 0 : 4/3)"
+    (Counting.Value.to_string
+       (E.count
+          ~opts:{ Test_differential.pugh with strategy = E.Upper }
+          ~vars:case.Test_differential.vars case.Test_differential.formula));
+  (* a parallel implied bound never reaches the engine *)
+  let stats = E.new_stats () in
+  let value = query ~stats "count { i : 1 <= i <= n and i <= n + 3 }" in
+  Alcotest.(check (pair int string)) "i <= n + 3" (0, "(sum : n - 1 >= 0 : n)")
+    (stats.E.bound_splits, Counting.Value.to_string value)
+
 let suite =
   ( "counting",
     [
@@ -681,4 +749,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_floor_matches_brute;
       Alcotest.test_case "periods <= max_period byte-identical" `Quick
         test_small_periods_pinned;
+      Alcotest.test_case "redundancy elimination only where it can split"
+        `Quick test_redundancy_gate;
     ] )

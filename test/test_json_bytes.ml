@@ -159,6 +159,38 @@ let test_flight () =
   check "Flight.event_json, no attrs" {|{"ts":0.000001,"name":"e","attrs":{}}|}
     (event_json { Obs.Flight.ts = 1e-6; name = "e"; attrs = [] })
 
+(* String escaping: quote, backslash and newline take their short
+   forms, every other control character a lowercase \u00XX escape; DEL
+   and bytes past 0x7f (UTF-8 or not) are copied as they are. *)
+let test_escapes () =
+  check "string escapes"
+    "{\"k\\\"\\u0000\":\"a\\\"b\\\\c\\n\\u0009\\u000d\\u0000\\u001f\127 \195\169\255/\"}"
+    (Obs.Ojson.render
+       (Obs.Ojson.Obj
+          [ ("k\"\000", Obs.Ojson.Str "a\"b\\c\n\t\r\000\031\127 \195\169\255/") ]))
+
+(* Any byte string, weighted toward the bytes that need escaping, comes
+   back from [parse] as it went into [render], as a value and as a key. *)
+let prop_string_roundtrip =
+  let tricky =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, printable);
+          (2, oneofl [ '"'; '\\'; '/'; '\n' ]);
+          (2, map Char.chr (int_bound 0x1f));
+          (2, map Char.chr (int_range 0x7f 0xff));
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"ojson parse∘render = id on byte strings"
+       ~count:1000
+       (QCheck.make ~print:String.escaped
+          QCheck.Gen.(string_size ~gen:tricky (int_bound 40)))
+       (fun s ->
+         let j = Obs.Ojson.Obj [ (s, Obs.Ojson.Str s) ] in
+         Obs.Ojson.parse (Obs.Ojson.render j) = Ok j))
+
 let suite =
   ( "json_bytes",
     [
@@ -168,4 +200,6 @@ let suite =
       Alcotest.test_case "instr report" `Quick test_instr;
       Alcotest.test_case "telemetry card" `Quick test_card;
       Alcotest.test_case "flight event" `Quick test_flight;
+      Alcotest.test_case "string escapes" `Quick test_escapes;
+      prop_string_roundtrip;
     ] )

@@ -227,10 +227,12 @@ let test_protocol () =
           (* unknown op *)
           let r = Serve.Client.request c {|{"id":7,"op":"frobnicate"}|} in
           Alcotest.(check string) "unknown op status" "error" (status r);
-          (* budget-tripped query → sound typed partial *)
+          (* budget-tripped query → sound typed partial; one fuel unit
+             trips before the first clause is summed, so the case does
+             not depend on how many steps the engine charges *)
           let r =
             Serve.Client.request c
-              {|{"id":8,"query":"count { i, j : 1 <= i and j <= n and 2*i <= 3*j }","at":{"n":100},"fuel":50}|}
+              {|{"id":8,"query":"count { i, j : 1 <= i and j <= n and 2*i <= 3*j }","at":{"n":100},"fuel":1}|}
           in
           Alcotest.(check string) "fuel partial" "partial" (status r);
           (match member "reason" r with
@@ -1163,6 +1165,36 @@ let test_sigterm_drain () =
      completed and removed the socket. *)
   Alcotest.(check bool) "socket removed" true true
 
+(* A server run in-process hands SIGTERM/SIGINT back when it stops:
+   the dispositions in place before it started are in place after. *)
+let test_signals_restored () =
+  let term_marker _ = () and int_marker _ = () in
+  let saved_term = Sys.signal Sys.sigterm (Sys.Signal_handle term_marker) in
+  let saved_int = Sys.signal Sys.sigint (Sys.Signal_handle int_marker) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigterm saved_term;
+      Sys.set_signal Sys.sigint saved_int)
+    (fun () ->
+      with_server ~handlers:1 (fun path ->
+          let c = Serve.Client.connect ~retries:100 path in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              Alcotest.(check string)
+                "server up" "ok"
+                (status (Serve.Client.request c {|{"id":1,"op":"ping"}|}))));
+      let is marker = function
+        | Sys.Signal_handle f -> f == marker
+        | Sys.Signal_default | Sys.Signal_ignore -> false
+      in
+      Alcotest.(check bool)
+        "SIGTERM handler restored" true
+        (is term_marker (Sys.signal Sys.sigterm saved_term));
+      Alcotest.(check bool)
+        "SIGINT handler restored" true
+        (is int_marker (Sys.signal Sys.sigint saved_int)))
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic shutdown slots (Obs.Shutdown)                         *)
 
@@ -1216,6 +1248,8 @@ let suite =
         test_cache_weights;
       Alcotest.test_case "SIGTERM mid-flight drains crash-only" `Quick
         test_sigterm_drain;
+      Alcotest.test_case "stopped server restores signal handlers" `Quick
+        test_signals_restored;
       Alcotest.test_case "shutdown slots run in fixed order once" `Quick
         test_shutdown_order;
     ] )
