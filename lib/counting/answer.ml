@@ -28,20 +28,31 @@ let value_json v = J.Str (Value.to_string v)
 
 (* A complete body is the [at]-free prefix [{"status":…,"value":…] and
    then the evaluation, so one symbolic value renders its prefix once
-   and serves every binding. *)
-let complete_prefix value =
-  let s =
-    J.render (J.Obj [ ("status", J.Str "complete"); ("value", value_json value) ])
-  in
-  String.sub s 0 (String.length s - 1)
+   and serves every binding. The value's text is escaped straight into
+   the prefix as Format lays it out. *)
+let add_prefix b value =
+  Buffer.add_string b {|{"status":"complete","value":"|};
+  Value.output (J.string_formatter b) value;
+  Buffer.add_char b '"'
 
-let complete_of_prefix ~prefix ~at value =
+let complete_prefix value =
+  let b = Buffer.create 256 in
+  add_prefix b value;
+  Buffer.contents b
+
+let add_eval b ~at value =
   match eval_num at value with
-  | Some z -> Printf.sprintf "%s,\"eval\":%s}" prefix (Zint.to_string z)
-  | None -> prefix ^ "}"
+  | Some z ->
+      Buffer.add_string b {|,"eval":|};
+      Zint.add_to_buffer b z
+  | None -> ()
 
 let complete_json ~at value =
-  complete_of_prefix ~prefix:(complete_prefix value) ~at value
+  let b = Buffer.create 256 in
+  add_prefix b value;
+  add_eval b ~at value;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let partial_json ~at (p : Governor.partial) =
   J.render

@@ -4,7 +4,7 @@
     prints it as its whole stdout line; omegad embeds it in response
     frames. A complete body is an [at]-free prefix followed by the
     evaluation, and omegad caches a value with its prefix, so a cache
-    hit at any binding finishes the body through {!complete_of_prefix}
+    hit at any binding finishes the body with {!add_eval}
     exactly as a cold run does. The bodies carry no volatile fields (no
     wall time, no ids) — two runs of the same query under per-request
     fresh-name counters render the same bytes. *)
@@ -23,10 +23,10 @@ val complete_json : at:(string * Zint.t) list -> Value.t -> string
     not depend on the bindings. *)
 val complete_prefix : Value.t -> string
 
-(** [complete_of_prefix ~prefix:(complete_prefix v) ~at v] is
-    [complete_json ~at v]; [complete_json] is defined this way. *)
-val complete_of_prefix :
-  prefix:string -> at:(string * Zint.t) list -> Value.t -> string
+(** [add_eval b ~at v] appends the [,"eval":n] field when [eval_num at
+    v] is [Some n], and nothing otherwise. [complete_json ~at v] is
+    [complete_prefix v], then [add_eval], then the closing brace. *)
+val add_eval : Buffer.t -> at:(string * Zint.t) list -> Value.t -> unit
 
 (** [{"status":"partial","reason":…,…,"bounds":{…}}] — the governed
     degradation body: reason, progress counts, pieces/lower/upper

@@ -20,13 +20,17 @@ let map_values f (v : t) =
       if Qpoly.is_zero value then None else Some { p with value })
     v
 
-let guard_key (c : C.t) =
-  (* canonical printable key for syntactic guard grouping *)
-  C.to_string c
-
 let simplify (v : t) : t =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
+  (* guards group by their one-line rendering, equal exactly when their
+     printed forms are *)
+  let kb = Buffer.create 128 in
+  let guard_key g =
+    Buffer.clear kb;
+    C.add_to_buffer kb g;
+    Buffer.contents kb
+  in
   List.iter
     (fun p ->
       match Omega.Clause.normalize p.guard with
@@ -72,16 +76,38 @@ let eval_zint env v =
         ~context:[ ("value", Qnum.to_string q) ]
         "evaluation produced a non-integral value"
 
+(* Format gets one string per polynomial and guard atom and places only
+   the breaks: [@ + ] between pieces and those inside guards. *)
 let pp fmt (v : t) =
+  let b = Buffer.create 256 in
+  let piece p =
+    Buffer.clear b;
+    if p.guard = C.top then Buffer.add_char b '('
+    else begin
+      Format.pp_print_string fmt "(sum : ";
+      C.pp fmt p.guard;
+      Buffer.add_string b " : "
+    end;
+    Qpoly.add_to_buffer b p.value;
+    Buffer.add_char b ')';
+    Format.pp_print_string fmt (Buffer.contents b)
+  in
   match v with
   | [] -> Format.pp_print_string fmt "0"
-  | _ ->
-      Format.pp_print_list
-        ~pp_sep:(fun fmt () -> Format.fprintf fmt "@ + ")
-        (fun fmt p ->
-          if p.guard = C.top then Format.fprintf fmt "(%a)" Qpoly.pp p.value
-          else
-            Format.fprintf fmt "(sum : %a : %a)" C.pp p.guard Qpoly.pp p.value)
-        fmt v
+  | p :: rest ->
+      piece p;
+      List.iter
+        (fun p ->
+          Format.pp_print_break fmt 1 0;
+          Format.pp_print_string fmt "+ ";
+          piece p)
+        rest
 
-let to_string v = Format.asprintf "@[%a@]" pp v
+let output fmt v = Format.fprintf fmt "@[%a@]@?" pp v
+
+let add_to_buffer b v = output (Format.formatter_of_buffer b) v
+
+let to_string v =
+  let b = Buffer.create 256 in
+  add_to_buffer b v;
+  Buffer.contents b

@@ -41,5 +41,18 @@ val eval_zint : (string -> Zint.t) -> t -> Zint.t
 
 (** {1 Printing} *)
 
+(** [pp] prints the pieces joined by ["@ + "], each as [(poly)] or
+    [(sum : guard : poly)] with the guard printed by
+    {!Omega.Clause.pp}; the zero value is [0]. *)
 val pp : Format.formatter -> t -> unit
+
+(** [output fmt v] prints [to_string v]'s bytes to a fresh formatter
+    [fmt] and flushes it. *)
+val output : Format.formatter -> t -> unit
+
+(** [add_to_buffer b v] appends [to_string v] to [b]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [pp]'s text inside one box on a fresh formatter (margin 78), so the
+    breaks fall at the same columns in every rendering. *)
 val to_string : t -> string

@@ -297,66 +297,86 @@ let escapes =
       | _ when i < 0x20 -> Printf.sprintf "\\u%04x" i
       | _ -> "")
 
-(* Runs of bytes that need no escape go in with one [add_substring];
-   [s.[start .. i-1]] is the pending run. A top-level function, so a
-   call allocates no closure. *)
-let rec add_escaped_from b s start i =
-  if i = String.length s then Buffer.add_substring b s start (i - start)
+(* Escapes [s.[start .. stop-1]]: runs of bytes that need no escape go
+   in with one [add_substring]; [s.[start .. i-1]] is the pending run. A
+   top-level function, so a call allocates no closure. *)
+let rec add_escaped_from b s stop start i =
+  if i = stop then Buffer.add_substring b s start (i - start)
   else
     let e = escapes.(Char.code (String.unsafe_get s i)) in
-    if String.length e = 0 then add_escaped_from b s start (i + 1)
+    if String.length e = 0 then add_escaped_from b s stop start (i + 1)
     else begin
       Buffer.add_substring b s start (i - start);
       Buffer.add_string b e;
-      add_escaped_from b s (i + 1) (i + 1)
+      add_escaped_from b s stop (i + 1) (i + 1)
     end
 
-let add_escaped b s = add_escaped_from b s 0 0
+let add_escaped b s = add_escaped_from b s (String.length s) 0 0
+
+let string_formatter b =
+  Format.make_formatter
+    (fun s pos len -> add_escaped_from b s (pos + len) pos pos)
+    ignore
 
 let add_num b f =
   if not (Float.is_finite f) then
     (* JSON has no NaN/infinity; our emitters never produce them. *)
     Buffer.add_string b "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
+    (* ["%.0f"]'s digits, "-0" included *)
+    Buffer.add_string b
+      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
   else begin
     let s = Printf.sprintf "%.15g" f in
     if float_of_string s = f then Buffer.add_string b s
     else Buffer.add_string b (Printf.sprintf "%.17g" f)
   end
 
+(* Top-level and mutually recursive, so rendering allocates no closure
+   per array or object. *)
+let rec add_to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num f -> add_num b f
+  | Lit s -> Buffer.add_string b s
+  | Str s ->
+      Buffer.add_char b '"';
+      add_escaped b s;
+      Buffer.add_char b '"'
+  | Arr l ->
+      Buffer.add_char b '[';
+      add_elements b l;
+      Buffer.add_char b ']'
+  | Obj kvs ->
+      Buffer.add_char b '{';
+      add_members b kvs;
+      Buffer.add_char b '}'
+
+and add_elements b = function
+  | [] -> ()
+  | [ v ] -> add_to_buffer b v
+  | v :: rest ->
+      add_to_buffer b v;
+      Buffer.add_char b ',';
+      add_elements b rest
+
+and add_members b = function
+  | [] -> ()
+  | [ kv ] -> add_member b kv
+  | kv :: rest ->
+      add_member b kv;
+      Buffer.add_char b ',';
+      add_members b rest
+
+and add_member b (k, v) =
+  Buffer.add_char b '"';
+  add_escaped b k;
+  Buffer.add_string b "\":";
+  add_to_buffer b v
+
 let render j =
   let b = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (string_of_bool v)
-    | Num f -> add_num b f
-    | Lit s -> Buffer.add_string b s
-    | Str s ->
-        Buffer.add_char b '"';
-        add_escaped b s;
-        Buffer.add_char b '"'
-    | Arr l ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char b ',';
-            go v)
-          l;
-        Buffer.add_char b ']'
-    | Obj kvs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            add_escaped b k;
-            Buffer.add_string b "\":";
-            go v)
-          kvs;
-        Buffer.add_char b '}'
-  in
-  go j;
+  add_to_buffer b j;
   Buffer.contents b
 
 let obj f kvs = Obj (List.map (fun (k, v) -> (k, f v)) kvs)

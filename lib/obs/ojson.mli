@@ -1,6 +1,8 @@
 (** The only JSON writer in this repository, and the reader for what it
     writes. Every emitter builds a {!t} and prints it with {!render};
-    no other module escapes JSON strings. [parse] reads omegad requests
+    no other module escapes JSON strings. Emitters that assemble output
+    in place append to a [Buffer.t] with {!add_to_buffer} or
+    {!string_formatter}. [parse] reads omegad requests
     and omreport/omcheck inputs without an external dependency.
 
     {b Numbers.} [Num f] is a float; [Lit s] is a number literal that
@@ -37,6 +39,16 @@ val parse : string -> (t, string) result
 (** Render to compact JSON (no whitespace). Integral [Num]s print
     without a fractional part; non-finite [Num]s render as [null]. *)
 val render : t -> string
+
+(** [add_to_buffer b j] appends [render j] to [b]; [render] is defined
+    by it. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [string_formatter b] is a fresh formatter (margin 78) that appends
+    what it prints to [b] escaped as the inside of a JSON string: the
+    bytes [render (Str s)] puts between its quotes, [s] being the
+    printed text. Flush it before reading [b]. *)
+val string_formatter : Buffer.t -> Format.formatter
 
 (** {1 Builders} *)
 

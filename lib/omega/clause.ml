@@ -319,33 +319,90 @@ let holds ?box env c =
     && List.for_all (fun (m, e) -> Zint.divides m (A.eval env e)) c.strides
   else F.holds ?box env (to_formula c)
 
-let pp fmt c =
-  let pp_list pp_item fmt l =
-    Format.pp_print_list
-      ~pp_sep:(fun fmt () -> Format.fprintf fmt " &&@ ")
-      pp_item fmt l
+(* Atom emitters, in print order: equalities, inequalities, strides. *)
+let add_eq b e =
+  A.add_to_buffer b e;
+  Buffer.add_string b " = 0"
+
+let add_geq b e =
+  A.add_to_buffer b e;
+  Buffer.add_string b " >= 0"
+
+let add_stride b (m, e) =
+  Zint.add_to_buffer b m;
+  Buffer.add_string b " | (";
+  A.add_to_buffer b e;
+  Buffer.add_char b ')'
+
+let add_wilds b wilds =
+  List.iteri
+    (fun i w ->
+      if i > 0 then Buffer.add_char b ',';
+      V.add_to_buffer b w)
+    (V.Set.elements wilds)
+
+(* [pp] with each break hint printed as one space. *)
+let add_to_buffer b c =
+  let first = ref true in
+  let atom add x =
+    if !first then first := false else Buffer.add_string b " && ";
+    add b x
   in
-  let items =
-    List.map (fun e -> `E e) c.eqs
-    @ List.map (fun e -> `G e) c.geqs
-    @ List.map (fun s -> `S s) c.strides
-  in
-  let pp_item fmt = function
-    | `E e -> Format.fprintf fmt "%a = 0" A.pp e
-    | `G e -> Format.fprintf fmt "%a >= 0" A.pp e
-    | `S (m, e) -> Format.fprintf fmt "%a | (%a)" Zint.pp m A.pp e
+  let add_atoms () =
+    List.iter (atom add_eq) c.eqs;
+    List.iter (atom add_geq) c.geqs;
+    List.iter (atom add_stride) c.strides
   in
   if V.Set.is_empty c.wilds then begin
-    if items = [] then Format.pp_print_string fmt "TRUE"
-    else Format.fprintf fmt "@[%a@]" (pp_list pp_item) items
+    if size c = 0 then Buffer.add_string b "TRUE" else add_atoms ()
   end
-  else
-    Format.fprintf fmt "@[(exists %a:@ %a)@]"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-         V.pp)
-      (V.Set.elements c.wilds)
-      (pp_list pp_item) items
+  else begin
+    Buffer.add_string b "(exists ";
+    add_wilds b c.wilds;
+    Buffer.add_string b ": ";
+    add_atoms ();
+    Buffer.add_char b ')'
+  end
+
+(* Format gets one string per atom and places only the breaks; the
+   boxes and breaks are [@[ … @]] and [@ ], called directly. *)
+let pp fmt c =
+  let b = Buffer.create 64 in
+  let render add x =
+    Buffer.clear b;
+    add b x;
+    Buffer.contents b
+  in
+  let atoms =
+    List.map (render add_eq) c.eqs
+    @ List.map (render add_geq) c.geqs
+    @ List.map (render add_stride) c.strides
+  in
+  let rec pp_atoms = function
+    | [] -> ()
+    | [ a ] -> Format.pp_print_string fmt a
+    | a :: rest ->
+        Format.pp_print_string fmt a;
+        Format.pp_print_string fmt " &&";
+        Format.pp_print_break fmt 1 0;
+        pp_atoms rest
+  in
+  if V.Set.is_empty c.wilds && atoms = [] then Format.pp_print_string fmt "TRUE"
+  else begin
+    Format.pp_open_box fmt 0;
+    if V.Set.is_empty c.wilds then pp_atoms atoms
+    else begin
+      Buffer.clear b;
+      Buffer.add_string b "(exists ";
+      add_wilds b c.wilds;
+      Buffer.add_char b ':';
+      Format.pp_print_string fmt (Buffer.contents b);
+      Format.pp_print_break fmt 1 0;
+      pp_atoms atoms;
+      Format.pp_print_string fmt ")"
+    end;
+    Format.pp_close_box fmt ()
+  end
 
 let to_string c = Format.asprintf "%a" pp c
 

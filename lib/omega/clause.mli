@@ -84,8 +84,20 @@ val to_formula : t -> Presburger.Formula.t
     oracle; see {!Presburger.Formula.holds}). *)
 val holds : ?box:int -> (Presburger.Var.t -> Zint.t) -> t -> bool
 
+(** [pp] prints the atoms, equalities, inequalities and then strides,
+    joined by [" &&@ "] (a break hint), each atom as one string; a
+    clause with wildcards is wrapped as [(exists $1,$2:@ …)], one with no
+    atoms and no wildcards is [TRUE]. *)
 val pp : Format.formatter -> t -> unit
+
+(** [to_string c] is [pp]'s text on a fresh formatter (margin 78). *)
 val to_string : t -> string
+
+(** [add_to_buffer b c] appends [pp]'s text with every break hint
+    printed as one space: one line whatever its length. Two clauses
+    have equal flat renderings exactly when they have equal
+    [to_string]s, so either serves as a grouping key. *)
+val add_to_buffer : Buffer.t -> t -> unit
 
 (** Immutable snapshot of the clause for certificate recording. *)
 val snapshot : t -> Cert.snapshot

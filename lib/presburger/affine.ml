@@ -107,27 +107,35 @@ let compare a b =
     if c <> 0 then c else Var.Map.compare Zint.compare a.coeffs b.coeffs
   end
 
-let pp fmt a =
+(* Terms in variable order, then the constant (alone when zero); each
+   sign goes into the joint, as in [n - 2i + 1]. *)
+let add_to_buffer b a =
   let first = ref true in
-  let emit sign body =
+  let join c =
     if !first then begin
-      if sign < 0 then Format.pp_print_string fmt "-";
+      if Zint.sign c < 0 then Buffer.add_char b '-';
       first := false
     end
-    else Format.pp_print_string fmt (if sign < 0 then " - " else " + ");
-    body ()
+    else Buffer.add_string b (if Zint.sign c < 0 then " - " else " + ")
   in
   Var.Map.iter
     (fun v c ->
-      emit (Zint.sign c) (fun () ->
-          let a = Zint.abs c in
-          if Zint.is_one a then Var.pp fmt v
-          else Format.fprintf fmt "%a%a" Zint.pp a Var.pp v))
+      join c;
+      let m = Zint.abs c in
+      if not (Zint.is_one m) then Zint.add_to_buffer b m;
+      Var.add_to_buffer b v)
     a.coeffs;
-  if not (Zint.is_zero a.const) || !first then
-    emit (Zint.sign a.const) (fun () -> Zint.pp fmt (Zint.abs a.const))
+  if !first || not (Zint.is_zero a.const) then begin
+    join a.const;
+    Zint.add_to_buffer b (Zint.abs a.const)
+  end
 
-let to_string a = Format.asprintf "%a" pp a
+let to_string a =
+  let b = Buffer.create 32 in
+  add_to_buffer b a;
+  Buffer.contents b
+
+let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 let to_qlin a =
   Var.Map.fold

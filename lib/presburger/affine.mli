@@ -67,6 +67,11 @@ val hash : t -> int
     weak table, so unreferenced ones are reclaimed by the GC. *)
 val intern : t -> t
 
+(** [add_to_buffer b t] appends [to_string t] to [b], e.g.
+    [n - 2i + 1]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [pp] prints [to_string] as one string, with no break hints. *)
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -36,6 +36,12 @@ let hash = function
   | Wild i -> (i * 65599) lxor 0x5757
 
 let to_string = function Named s -> s | Wild i -> "$" ^ string_of_int i
+let add_to_buffer b = function
+  | Named s -> Buffer.add_string b s
+  | Wild i ->
+      Buffer.add_char b '$';
+      Buffer.add_string b (string_of_int i)
+
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 module Ord = struct

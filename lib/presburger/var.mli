@@ -49,6 +49,9 @@ val hash : t -> int
 (** Unique printable name: the name itself, or ["$k"] for wildcards. *)
 val to_string : t -> string
 
+(** [add_to_buffer b v] appends [to_string v] to [b]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

@@ -302,6 +302,10 @@ let rec to_qpoly st = function
   | Eneg a -> Qpoly.neg (to_qpoly st a)
   | Emul (a, b) -> Qpoly.mul (to_qpoly st a) (to_qpoly st b)
   | Epow (a, n) -> Qpoly.pow (to_qpoly st a) n
+  | Emod (_, c) when Zint.sign c <= 0 -> fail st "mod divisor must be positive"
+  | Efloor (_, c) when Zint.sign c <= 0 ->
+      fail st "floor divisor must be positive"
+  | Eceil (_, c) when Zint.sign c <= 0 -> fail st "ceil divisor must be positive"
   | Emod (e, c) -> begin
       match Qpoly.to_lin (to_qpoly st e) with
       | None -> fail st "mod argument must be affine"

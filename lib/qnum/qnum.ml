@@ -88,6 +88,13 @@ let to_string t =
   if is_integral t then Zint.to_string t.num
   else Zint.to_string t.num ^ "/" ^ Zint.to_string t.den
 
+let add_to_buffer b t =
+  Zint.add_to_buffer b t.num;
+  if not (is_integral t) then begin
+    Buffer.add_char b '/';
+    Zint.add_to_buffer b t.den
+  end
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Infix = struct

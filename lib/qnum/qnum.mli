@@ -75,6 +75,9 @@ val max : t -> t -> t
 (** Decimal-fraction rendering, e.g. ["-3/4"], or ["5"] when integral. *)
 val to_string : t -> string
 
+(** [add_to_buffer b t] appends [to_string t] to [b]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 
 module Infix : sig

@@ -55,32 +55,33 @@ module Lin = struct
 
   let equal a b = compare a b = 0
 
-  let pp fmt a =
-    let terms =
-      SMap.bindings a.coeffs
-      |> List.map (fun (v, c) ->
-             if Qnum.equal c Qnum.one then v
-             else if Qnum.equal c Qnum.minus_one then "-" ^ v
-             else Qnum.to_string c ^ v)
+  (* Terms in variable order, then the constant (alone when zero); a
+     term joins the previous one with [+] unless it prints its own
+     [-]. *)
+  let add_to_buffer b a =
+    let first = ref true in
+    let join c =
+      if !first then first := false
+      else if Qnum.sign c >= 0 then Buffer.add_char b '+'
     in
-    let terms =
-      if Qnum.is_zero a.const && terms <> [] then terms
-      else terms @ [ Qnum.to_string a.const ]
-    in
-    let rec join = function
-      | [] -> ()
-      | [ x ] -> Format.pp_print_string fmt x
-      | x :: rest ->
-          Format.pp_print_string fmt x;
-          (match rest with
-          | next :: _ when String.length next > 0 && next.[0] = '-' ->
-              Format.pp_print_string fmt ""
-          | _ -> Format.pp_print_string fmt "+");
-          join rest
-    in
-    join terms
+    SMap.iter
+      (fun v c ->
+        join c;
+        if Qnum.equal c Qnum.minus_one then Buffer.add_char b '-'
+        else if not (Qnum.equal c Qnum.one) then Qnum.add_to_buffer b c;
+        Buffer.add_string b v)
+      a.coeffs;
+    if !first || not (Qnum.is_zero a.const) then begin
+      join a.const;
+      Qnum.add_to_buffer b a.const
+    end
 
-  let to_string a = Format.asprintf "%a" pp a
+  let to_string a =
+    let b = Buffer.create 32 in
+    add_to_buffer b a;
+    Buffer.contents b
+
+  let pp fmt a = Format.pp_print_string fmt (to_string a)
 end
 
 module Atom = struct
@@ -121,9 +122,19 @@ module Atom = struct
 
   let equal a b = compare a b = 0
 
-  let pp fmt = function
-    | Var v -> Format.pp_print_string fmt v
-    | Mod (e, c) -> Format.fprintf fmt "(%a mod %a)" Lin.pp e Zint.pp c
+  let add_to_buffer b = function
+    | Var v -> Buffer.add_string b v
+    | Mod (e, c) ->
+        Buffer.add_char b '(';
+        Lin.add_to_buffer b e;
+        Buffer.add_string b " mod ";
+        Zint.add_to_buffer b c;
+        Buffer.add_char b ')'
+
+  let pp fmt a =
+    let b = Buffer.create 32 in
+    add_to_buffer b a;
+    Format.pp_print_string fmt (Buffer.contents b)
 end
 
 (* A monomial is a sorted association list atom -> positive power. *)
@@ -159,13 +170,17 @@ module Mono = struct
 
   let degree (m : t) = List.fold_left (fun acc (_, p) -> acc + p) 0 m
 
-  let pp fmt (m : t) =
-    List.iteri
-      (fun i (a, p) ->
-        if i > 0 then Format.pp_print_string fmt "*";
-        if p = 1 then Atom.pp fmt a
-        else Format.fprintf fmt "%a^%d" Atom.pp a p)
-      m
+  let rec add_to_buffer b (m : t) =
+    match m with
+    | [] -> ()
+    | (a, p) :: rest ->
+        Atom.add_to_buffer b a;
+        if p <> 1 then begin
+          Buffer.add_char b '^';
+          Buffer.add_string b (string_of_int p)
+        end;
+        (match rest with [] -> () | _ -> Buffer.add_char b '*');
+        add_to_buffer b rest
 end
 
 module MMap = Map.Make (Mono)
@@ -511,24 +526,31 @@ let sum_over t v lo hi =
   Array.iteri (fun k c -> acc := add !acc (mul c (range_sum_of_diffs k d))) cs;
   !acc
 
-let pp fmt (t : t) =
-  if is_zero t then Format.pp_print_string fmt "0"
-  else begin
-    (* Highest-degree monomials first. *)
-    let terms = List.rev (MMap.bindings t) in
+(* Highest-degree monomials first, each coefficient's sign folded into
+   the joint; a unit coefficient is left out unless the monomial is
+   constant. *)
+let add_to_buffer b (t : t) =
+  if is_zero t then Buffer.add_char b '0'
+  else
     List.iteri
       (fun i (m, c) ->
         let neg = Qnum.sign c < 0 in
-        let c_abs = Qnum.abs c in
-        if i = 0 then (if neg then Format.pp_print_string fmt "-")
-        else Format.pp_print_string fmt (if neg then " - " else " + ");
-        if m = [] then Format.pp_print_string fmt (Qnum.to_string c_abs)
+        let c_abs = if neg then Qnum.neg c else c in
+        if i > 0 then Buffer.add_string b (if neg then " - " else " + ")
+        else if neg then Buffer.add_char b '-';
+        if m = [] then Qnum.add_to_buffer b c_abs
         else begin
-          if not (Qnum.equal c_abs Qnum.one) then
-            Format.fprintf fmt "%s*" (Qnum.to_string c_abs);
-          Mono.pp fmt m
+          if not (Qnum.equal c_abs Qnum.one) then begin
+            Qnum.add_to_buffer b c_abs;
+            Buffer.add_char b '*'
+          end;
+          Mono.add_to_buffer b m
         end)
-      terms
-  end
+      (MMap.fold (fun m c acc -> (m, c) :: acc) t [])
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let b = Buffer.create 64 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -168,5 +168,10 @@ val sum_over : t -> string -> t -> t -> t
 
 (** {1 Printing} *)
 
+(** [add_to_buffer b t] appends [to_string t] to [b]: the monomials in
+    descending order, e.g. [1/2*n^2 - 1/4*(n mod 2) + 1/2*n]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [pp] prints [to_string] as one string, with no break hints. *)
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -8,8 +8,8 @@
     fingerprint, binding or certify flag in the key, so two different
     queries never share an entry and every binding of one query does.
     A hit evaluates the value at the request's own bindings through
-    {!Counting.Answer.complete_of_prefix}, the code a cold run renders
-    with, so the body is byte-identical to a cold run's. Only
+    {!Counting.Answer.add_eval}, the code a cold run renders with, so
+    the body is byte-identical to a cold run's. Only
     [status:"complete"] values are stored (partials depend on the budget
     that tripped).
 

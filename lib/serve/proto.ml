@@ -134,17 +134,43 @@ let opts_of (q : query_req) =
     backend = q.backend;
   }
 
-(* Stitch the echoed id into a rendered body: bodies are canonical
-   objects starting with '{', and the id goes first so cached bodies
-   stay id-free (and therefore byte-shareable across requests). The id
-   is echoed as parsed, so a number literal comes back verbatim. *)
+(* A response frame is [{"id":<id>] and then its body's fields. Bodies
+   render id-free, so a cached prefix is byte-shareable across requests;
+   the id goes first and is echoed as parsed, so a number literal comes
+   back verbatim. *)
+let open_frame b id =
+  Buffer.clear b;
+  Buffer.add_string b {|{"id":|};
+  J.add_to_buffer b id
+
+(* The fields of [body] (a rendered object or an object prefix) up to
+   byte [stop], after a comma. *)
+let add_fields b body stop =
+  if stop > 1 then begin
+    Buffer.add_char b ',';
+    Buffer.add_substring b body 1 (stop - 1)
+  end
+
+let add_body b body =
+  assert (String.length body >= 2 && body.[0] = '{');
+  add_fields b body (String.length body - 1)
+
+let add_prefix b prefix =
+  assert (String.length prefix >= 1 && prefix.[0] = '{');
+  add_fields b prefix (String.length prefix)
+
+let add_certificate b cert =
+  Buffer.add_string b {|,"certificate":|};
+  J.add_to_buffer b cert
+
+let close_frame b = Buffer.add_char b '}'
+
 let with_id id body =
-  assert (String.length body > 0 && body.[0] = '{');
-  let head = J.render (J.Obj [ ("id", id) ]) in
-  if String.length body = 2 then head
-  else
-    String.sub head 0 (String.length head - 1)
-    ^ "," ^ String.sub body 1 (String.length body - 1)
+  let b = Buffer.create (String.length body + 16) in
+  open_frame b id;
+  add_body b body;
+  close_frame b;
+  Buffer.contents b
 
 let status_body status fields =
   J.render (J.Obj (("status", J.Str status) :: fields))

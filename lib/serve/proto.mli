@@ -27,9 +27,32 @@ val parse : string -> (request, Obs.Ojson.t * string) result
     {!Counting.Engine.default}). *)
 val opts_of : query_req -> Counting.Engine.options
 
-(** [with_id id body] stitches the echoed [id] as the first field of a
-    rendered body object — bodies are rendered id-free, so one renderer
-    serves every request. *)
+(** {1 Response frames}
+
+    A response frame is assembled in place in a [Buffer.t]:
+    {!open_frame}, then the body's fields ({!add_body}, or
+    {!add_prefix} and {!Counting.Answer.add_eval}, then any
+    {!add_certificate}), then {!close_frame}. Bodies are rendered
+    id-free, so one rendering (a cached prefix) serves every request. *)
+
+(** [open_frame b id] clears [b] and writes [{"id":id]. *)
+val open_frame : Buffer.t -> Obs.Ojson.t -> unit
+
+(** [add_body b body] appends the fields of the rendered object [body]
+    (each after a comma; nothing for [{}]), not its closing brace. *)
+val add_body : Buffer.t -> string -> unit
+
+(** [add_prefix b prefix] appends the fields of an object prefix with
+    no closing brace, such as {!Counting.Answer.complete_prefix}'s. *)
+val add_prefix : Buffer.t -> string -> unit
+
+(** [add_certificate b cert] appends [,"certificate":cert]. *)
+val add_certificate : Buffer.t -> Obs.Ojson.t -> unit
+
+(** [close_frame b] appends the closing brace. *)
+val close_frame : Buffer.t -> unit
+
+(** [with_id id body] is the frame of [body] under [id] as a string. *)
 val with_id : Obs.Ojson.t -> string -> string
 
 val error_body : cls:string -> msg:string -> string

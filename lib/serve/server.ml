@@ -46,6 +46,16 @@ type job = { jconn : conn; jid : J.t; jreq : Proto.query_req }
    value and its rendered [at]-free body prefix. *)
 type entry = { value : Counting.Value.t; prefix : string }
 
+(* One domain's response frame: assembled in [buf], copied into [wire]
+   and written with one [write]. Each handler domain owns one, and the
+   main loop one for the responses it gives itself. *)
+type out = { buf : Buffer.t; mutable wire : Bytes.t }
+
+let out_initial_bytes = 4096
+
+let new_out () =
+  { buf = Buffer.create out_initial_bytes; wire = Bytes.create out_initial_bytes }
+
 type t = {
   cfg : config;
   queue : job Admission.t;
@@ -53,7 +63,10 @@ type t = {
   stopping : bool Atomic.t;
   active : int Atomic.t;  (* requests being processed right now *)
   chunk : Bytes.t;  (* the one read buffer; main loop only *)
+  out : out;  (* main loop only *)
 }
+
+let max_line_bytes = 1 lsl 20
 
 (* ------------------------------------------------------------------ *)
 (* Connection writes (any domain)                                      *)
@@ -63,24 +76,39 @@ type t = {
    never to a handler crash. [alive] is checked and cleared under
    [wmu], and [close_conn] takes the same lock, so a write never races
    a close on this connection. *)
-let send_line conn line =
+let send_frame conn out =
+  Buffer.add_char out.buf '\n';
+  let len = Buffer.length out.buf in
+  if Bytes.length out.wire < len then
+    out.wire <- Bytes.create (max len (2 * Bytes.length out.wire));
+  Buffer.blit out.buf 0 out.wire 0 len;
   Mutex.lock conn.wmu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.wmu)
     (fun () ->
       if conn.alive then
-        let payload = line ^ "\n" in
-        let len = String.length payload in
         let rec push off =
           if off < len then
-            match Unix.write_substring conn.fd payload off (len - off) with
+            match Unix.write conn.fd out.wire off (len - off) with
             | n -> push (off + n)
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> push off
         in
         match push 0 with
         | () -> ()
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-            conn.alive <- false)
+            conn.alive <- false);
+  (* one outsized response must not pin its memory for the domain's life *)
+  if len > max_line_bytes then begin
+    Buffer.reset out.buf;
+    out.wire <- Bytes.create out_initial_bytes
+  end
+
+(* Send a frame whose whole body is the rendered object [body]. *)
+let send_body conn out id body =
+  Proto.open_frame out.buf id;
+  Proto.add_body out.buf body;
+  Proto.close_frame out.buf;
+  send_frame conn out
 
 let close_conn conn =
   Mutex.lock conn.wmu;
@@ -93,25 +121,20 @@ let close_conn conn =
 (* ------------------------------------------------------------------ *)
 (* Request processing (handler domains)                                *)
 
-(* Splice a certificate object into a rendered body (both are canonical
-   JSON objects, so the certificate goes before the closing brace). *)
-let with_certificate body cert =
-  Printf.sprintf "%s,\"certificate\":%s}"
-    (String.sub body 0 (String.length body - 1))
-    (J.render cert)
-
-(* Run one count request through the engine to a response body, under
-   its own request context: the query is parsed there too, so wildcard
-   names (and with them the fingerprint and any certificate) never
-   depend on earlier traffic. A complete value fills the value tier,
-   whether the request certified or not. *)
-let computed_body t (req : Proto.query_req) ~opts ~vkey =
+(* Run one count request through the engine and append its body's
+   fields to the frame in [b], under its own request context: the query
+   is parsed there too, so wildcard names (and with them the fingerprint
+   and any certificate) never depend on earlier traffic. A complete
+   value fills the value tier, whether the request certified or not. *)
+let computed t b (req : Proto.query_req) ~opts ~vkey =
+  let error ~cls ~msg =
+    Obs.Metrics.incr m_errors;
+    Proto.add_body b (Proto.error_body ~cls ~msg)
+  in
   Ctx.with_request (fun () ->
       match Preslang.parse_query req.query with
       | exception Preslang.Parse_error (pos, msg) ->
-          Obs.Metrics.incr m_errors;
-          Proto.error_body ~cls:"parse_error"
-            ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
+          error ~cls:"parse_error" ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
       | q -> (
           let fingerprint =
             Counting.Telemetry.fingerprint ~vars:q.Preslang.vars
@@ -133,44 +156,61 @@ let computed_body t (req : Proto.query_req) ~opts ~vkey =
                   ~summand:q.Preslang.summand q.Preslang.formula)
           with
           | { outcome; certificate; _ } ->
-              let body =
-                match outcome with
-                | Counting.Governor.Complete value ->
-                    Obs.Metrics.incr m_completed;
-                    let prefix = Counting.Answer.complete_prefix value in
-                    Cache.add t.cache vkey { value; prefix };
-                    Counting.Answer.complete_of_prefix ~prefix ~at:req.at value
-                | Counting.Governor.Partial p ->
-                    Obs.Metrics.incr m_partial;
-                    Counting.Answer.partial_json ~at:req.at p
-              in
-              Option.fold ~none:body ~some:(with_certificate body) certificate
-          | exception Counting.Engine.Unbounded msg ->
-              Obs.Metrics.incr m_errors;
-              Proto.error_body ~cls:"unbounded" ~msg
+              (match outcome with
+              | Counting.Governor.Complete value ->
+                  Obs.Metrics.incr m_completed;
+                  let prefix = Counting.Answer.complete_prefix value in
+                  Cache.add t.cache vkey { value; prefix };
+                  Proto.add_prefix b prefix;
+                  Counting.Answer.add_eval b ~at:req.at value
+              | Counting.Governor.Partial p ->
+                  Obs.Metrics.incr m_partial;
+                  Proto.add_body b (Counting.Answer.partial_json ~at:req.at p));
+              Option.iter (Proto.add_certificate b) certificate
+          | exception Counting.Engine.Unbounded msg -> error ~cls:"unbounded" ~msg
           | exception Omega.Error.Omega_error { phase; what; context } ->
-              Obs.Metrics.incr m_errors;
-              Proto.error_body ~cls:"omega_error"
+              error ~cls:"omega_error"
                 ~msg:(Omega.Error.to_string ~phase ~what context)
           | exception exn ->
-              Obs.Metrics.incr m_errors;
-              Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn)))
+              error ~cls:"internal" ~msg:(Printexc.to_string exn)))
 
-(* Answer one admitted count request; every failure mode maps to a
-   typed body, so the handler loop (and the server) never sees an
-   exception. A plain request whose query and options were counted
-   before is a value-tier hit: no parse, no fingerprint, no engine,
-   only the evaluation at its own bindings. A certified request always
-   runs, so its certificate records the run that answered it. *)
-let answer_body t (req : Proto.query_req) =
+(* Answer one admitted count request: append its body's fields to the
+   frame in [b]. A plain request whose query and options were counted
+   before is a value-tier hit: no parse, no fingerprint, no engine, only
+   the evaluation at its own bindings. A certified request always runs,
+   so its certificate records the run that answered it. *)
+let answer t b (req : Proto.query_req) =
   Obs.Metrics.incr m_requests;
   let opts = Proto.opts_of req in
   let vkey = Cache.value_key ~query:req.query ~opts ~merge:req.merge in
   match if req.certify then None else Cache.find t.cache vkey with
   | Some { value; prefix } ->
       Obs.Metrics.incr m_completed;
-      Counting.Answer.complete_of_prefix ~prefix ~at:req.at value
-  | None -> computed_body t req ~opts ~vkey
+      Proto.add_prefix b prefix;
+      Counting.Answer.add_eval b ~at:req.at value
+  | None -> computed t b req ~opts ~vkey
+
+(* Every failure mode maps to a typed body, so the handler loop (and
+   the server) never sees an exception. *)
+let answer_frame t b id req =
+  Proto.open_frame b id;
+  (* During drain, already-queued requests are refused rather than
+     started (starting one after cancel_inflight would let it run to
+     completion and stall the drain). *)
+  if Atomic.get t.stopping then
+    Proto.add_body b
+      (Proto.error_body ~cls:"unavailable" ~msg:"server is shutting down")
+  else begin
+    (* Crash-only: a bug anywhere in the request path degrades to a
+       typed internal error for this request; the loop lives. *)
+    try answer t b req
+    with exn ->
+      Obs.Metrics.incr m_errors;
+      Proto.open_frame b id;
+      Proto.add_body b
+        (Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn))
+  end;
+  Proto.close_frame b
 
 (* Minor heap of a handler domain, in words (the runtime default is
    256k), set as the domain starts. A request's garbage stays young, so
@@ -182,29 +222,17 @@ let handler_minor_heap_words = 131_072
 
 let handler_loop t =
   Gc.set { (Gc.get ()) with minor_heap_size = handler_minor_heap_words };
+  let out = new_out () in
   let rec loop () =
     match Admission.take t.queue with
     | None -> ()
     | Some job ->
         Atomic.incr t.active;
         Obs.Metrics.set m_inflight (Atomic.get t.active);
-        let body =
-          (* During drain, already-queued requests are refused rather
-             than started (starting one after cancel_inflight would let
-             it run to completion and stall the drain). *)
-          if Atomic.get t.stopping then
-            Proto.error_body ~cls:"unavailable" ~msg:"server is shutting down"
-          else
-            (* Crash-only: a bug anywhere in the request path degrades to
-               a typed internal error for this request; the loop lives. *)
-            try answer_body t job.jreq
-            with exn ->
-              Obs.Metrics.incr m_errors;
-              Proto.error_body ~cls:"internal" ~msg:(Printexc.to_string exn)
-        in
+        answer_frame t out.buf job.jid job.jreq;
         Atomic.decr t.active;
         Obs.Metrics.set m_inflight (Atomic.get t.active);
-        send_line job.jconn (Proto.with_id job.jid body);
+        send_frame job.jconn out;
         loop ()
   in
   loop ()
@@ -219,38 +247,31 @@ let metrics_text () = Obs.Openmetrics.render (Obs.Metrics.snapshot ())
    go through admission. *)
 let dispatch t conn line =
   if String.trim line <> "" then
+    let send id body = send_body conn t.out id body in
     match Proto.parse line with
     | Error (id, msg) ->
         Obs.Metrics.incr m_errors;
-        send_line conn (Proto.with_id id (Proto.error_body ~cls:"bad_request" ~msg))
-    | Ok { Proto.id; op = Proto.Ping } ->
-        send_line conn (Proto.with_id id Proto.pong_body)
+        send id (Proto.error_body ~cls:"bad_request" ~msg)
+    | Ok { Proto.id; op = Proto.Ping } -> send id Proto.pong_body
     | Ok { Proto.id; op = Proto.Metrics } ->
-        send_line conn (Proto.with_id id (Proto.metrics_body (metrics_text ())))
+        send id (Proto.metrics_body (metrics_text ()))
     | Ok { Proto.id; op = Proto.Shutdown } ->
-        send_line conn (Proto.with_id id Proto.shutdown_body);
+        send id Proto.shutdown_body;
         Atomic.set t.stopping true
     | Ok { Proto.id; op = Proto.Count req } -> (
         match Admission.submit t.queue { jconn = conn; jid = id; jreq = req } with
         | `Accepted -> ()
         | `Shed depth ->
-            send_line conn
-              (Proto.with_id id
-                 (Proto.shed_body ~depth ~limit:(Admission.limit t.queue)))
+            send id (Proto.shed_body ~depth ~limit:(Admission.limit t.queue))
         | `Closed ->
-            send_line conn
-              (Proto.with_id id
-                 (Proto.error_body ~cls:"unavailable"
-                    ~msg:"server is shutting down")))
+            send id
+              (Proto.error_body ~cls:"unavailable" ~msg:"server is shutting down"))
 
-let max_line_bytes = 1 lsl 20
-
-let reject_long_line conn =
+let reject_long_line t conn =
   Obs.Metrics.incr m_errors;
-  send_line conn
-    (Proto.with_id J.Null
-       (Proto.error_body ~cls:"bad_request"
-          ~msg:(Printf.sprintf "request line longer than %d bytes" max_line_bytes)))
+  send_body conn t.out J.Null
+    (Proto.error_body ~cls:"bad_request"
+       ~msg:(Printf.sprintf "request line longer than %d bytes" max_line_bytes))
 
 (* Pull complete lines out of a connection's accumulator. [false] when a
    line, complete or not, is longer than [max_line_bytes]. *)
@@ -279,7 +300,7 @@ let read_chunk t conn =
   | 0 -> false
   | n ->
       Buffer.add_subbytes conn.rbuf t.chunk 0 n;
-      drain_lines t conn || (reject_long_line conn; false)
+      drain_lines t conn || (reject_long_line t conn; false)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
 
@@ -297,21 +318,22 @@ let install_signal_handlers t =
     Sys.set_signal Sys.sigterm prev_term;
     Sys.set_signal Sys.sigint prev_int
 
+let create config =
+  {
+    cfg = config;
+    queue = Admission.create ~limit:config.queue_limit;
+    cache =
+      Cache.create ~capacity:config.cache_capacity ?ttl_s:config.cache_ttl_s
+        ~weight:(fun e -> List.length e.value)
+        ();
+    stopping = Atomic.make false;
+    active = Atomic.make 0;
+    chunk = Bytes.create 65536;
+    out = new_out ();
+  }
+
 let run ?(config = default_config) () =
-  let t =
-    {
-      cfg = config;
-      queue = Admission.create ~limit:config.queue_limit;
-      cache =
-        Cache.create ~capacity:config.cache_capacity
-          ?ttl_s:config.cache_ttl_s
-          ~weight:(fun e -> List.length e.value)
-          ();
-      stopping = Atomic.make false;
-      active = Atomic.make 0;
-      chunk = Bytes.create 65536;
-    }
-  in
+  let t = create config in
   let restore_signals = install_signal_handlers t in
   Fun.protect ~finally:restore_signals @@ fun () ->
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());

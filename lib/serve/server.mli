@@ -28,7 +28,11 @@
 
     {b Scheduling}: one domain per core. Requests run in parallel
     across handler domains and serially on each, as the counting engine
-    always runs. *)
+    always runs.
+
+    {b Framing}: each handler domain assembles a response in place in
+    its own buffer — id, body fields, certificate — and writes it with
+    one [write]; no whole-body string is built on the way. *)
 
 type config = {
   socket_path : string;
@@ -52,6 +56,20 @@ val default_config : config
     [bad_request] response with a [null] id and is closed; other
     connections are unaffected. *)
 val max_line_bytes : int
+
+(** {1 Serving state without the socket} *)
+
+(** A server's state: admission queue, value cache, drain flag. *)
+type t
+
+(** [create config] is a fresh state; {!run} serves one. *)
+val create : config -> t
+
+(** [answer_frame t b id req] writes into [b] (cleared first) the
+    response frame for the count request [req] under [id], without its
+    newline: exactly the bytes a handler domain writes, from the same
+    code, value cache included. *)
+val answer_frame : t -> Buffer.t -> Obs.Ojson.t -> Proto.query_req -> unit
 
 (** [run ~config ()] binds the socket and serves until a stop signal or
     a [shutdown] request, then drains and removes the socket. Installs

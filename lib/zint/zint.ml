@@ -586,6 +586,18 @@ let of_string s =
   done;
   if negative then neg !acc else !acc
 
+(* The digits of a nonnegative native int, most significant first. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_to_buffer b = function
+  | Small n when n >= 0 -> add_digits b n
+  | Small n when n > min_int ->
+      Buffer.add_char b '-';
+      add_digits b (-n)
+  | t -> Buffer.add_string b (to_string t)
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Infix = struct

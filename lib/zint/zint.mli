@@ -43,6 +43,10 @@ val of_string : string -> t
     negative. *)
 val to_string : t -> string
 
+(** [add_to_buffer b t] appends [to_string t] to [b]; a native-size
+    value allocates nothing. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Comparison} *)

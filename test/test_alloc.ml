@@ -211,6 +211,64 @@ let test_splinter_sum_minor_words () =
     ~baseline:splinter_feas_baseline
     (float_of_int d.Omega.Memo.feas_queries)
 
+(* Words a call allocates: the minor heap's, plus blocks too large for
+   it (a 14 KB string, say), which go straight to the major heap and
+   which [Gc.minor_words] does not see. *)
+let alloc_words f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0 -. (promoted1 -. promoted0))
+
+(* The splinter query's answer renders to a 14.4 KB value: 97 guarded
+   pieces. Format places only the breaks between pieces and inside
+   guards, each polynomial and guard atom arriving as one pre-rendered
+   string, and the text is escaped straight into the body prefix. A
+   [Format] call per atom and sign cost ~178k words, 5x this baseline. *)
+let splinter_query = "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }"
+
+let splinter_prefix_baseline = 35_500.
+
+let test_splinter_prefix_words () =
+  let p = Preslang.parse_query splinter_query in
+  let value =
+    Counting.Merge.merge_residues
+      (E.sum ~vars:p.Preslang.vars p.Preslang.formula p.Preslang.summand)
+  in
+  let render () = ignore (Counting.Answer.complete_prefix value) in
+  render ();
+  guard_ratio ~unit:"words" ~label:"splinter value render (Answer.complete_prefix)"
+    ~baseline:splinter_prefix_baseline (alloc_words render)
+
+(* A plain request for a query the server has counted before is a
+   value-tier hit: the cached prefix and the evaluation at the
+   request's binding go straight into the handler's frame buffer. The
+   evaluation is nearly all of it (see the splinter eval guard); the
+   whole-body copies this replaced (the body, then the id splice, then
+   the newline) added ~11k words, 2x this baseline. Measured through
+   [Server.answer_frame], the code a handler domain runs, on a frame
+   buffer that has served the request once. *)
+let splinter_hit_baseline = 10_800.
+
+let test_splinter_hit_words () =
+  let server = Serve.Server.create Serve.Server.default_config in
+  let request n =
+    match
+      Serve.Proto.parse
+        (Printf.sprintf {|{"id":%d,"query":"%s","at":{"n":%d}}|} n
+           splinter_query n)
+    with
+    | Ok { Serve.Proto.op = Serve.Proto.Count req; id } -> (id, req)
+    | _ -> Alcotest.fail "splinter request did not parse"
+  in
+  let b = Buffer.create 4096 in
+  let frame (id, req) () = Serve.Server.answer_frame server b id req in
+  let fill = request 100 and hit = request 12345 in
+  frame fill ();
+  frame hit ();
+  guard_ratio ~unit:"words" ~label:"splinter value-tier hit (Server.answer_frame)"
+    ~baseline:splinter_hit_baseline (alloc_words (frame hit))
+
 let suite =
   ( "alloc",
     [
@@ -226,4 +284,8 @@ let suite =
         test_splinter_eval_minor_words;
       Alcotest.test_case "splinter Governor.sum minor-words ratio guard" `Quick
         test_splinter_sum_minor_words;
+      Alcotest.test_case "splinter value render words ratio guard" `Quick
+        test_splinter_prefix_words;
+      Alcotest.test_case "splinter value-tier hit words ratio guard" `Quick
+        test_splinter_hit_words;
     ] )

@@ -128,7 +128,12 @@ let test_errors () =
   in
   Alcotest.(check bool) "query keyword" true (badq "tally { i : i <= 3 }");
   Alcotest.(check bool) "missing brace" true (badq "count { i : i <= 3");
-  Alcotest.(check bool) "trailing" true (badq "count { i : 1 <= i <= 3 } extra")
+  Alcotest.(check bool) "trailing" true (badq "count { i : 1 <= i <= 3 } extra");
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) ("summand " ^ e) true
+        (badq ("sum { i : 1 <= i <= 7 } " ^ e)))
+    [ "floor(i/0)"; "ceil(i/0)"; "i mod 0" ]
 
 let test_roundtrip_against_builder () =
   (* The Section 2.6 formula fragment built by hand vs parsed. *)

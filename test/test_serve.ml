@@ -950,6 +950,74 @@ let test_value_tier_bindings () =
                 (q ^ ": certificate accepted") true (certificate_accepted r))
             cases))
 
+(* One handler domain assembles every response in the same frame
+   buffer. A certified splinter response (~62 KB, well past the
+   buffer's initial 4 KB), then a small complete body, a parse error
+   and a fuel partial follow one another on it: each line must be the
+   cold rendering under its id, byte for byte, with nothing left over
+   from a longer earlier frame. *)
+let test_frame_reuse () =
+  Chaos.set None;
+  let splinter = "count { i, j : 1 <= i and j <= n and 97*i <= 101*j }" in
+  let triangle = "count { i, j : 1 <= i <= j <= n }" in
+  let rational = "count { i, j : 1 <= i and j <= n and 2*i <= 3*j }" in
+  let bad = "count { i : 1 <= }" in
+  let parse_error_body =
+    match Preslang.parse_query bad with
+    | exception Preslang.Parse_error (pos, msg) ->
+        Serve.Proto.error_body ~cls:"parse_error"
+          ~msg:(Printf.sprintf "at offset %d: %s" pos msg)
+    | _ -> Alcotest.failf "%s parsed" bad
+  in
+  let partial_body =
+    let at = zat [ ("n", 40) ] in
+    Serve.Ctx.with_request (fun () ->
+        let q = Preslang.parse_query rational in
+        let budget = { Counting.Governor.unlimited with fuel = Some 1 } in
+        match
+          (Counting.Query.run ~label:"test" ~opts:E.default ~budget
+             ~merge:true ~certify:false ~instr:false ~at ~source:rational
+             ~vars:q.Preslang.vars ~summand:q.Preslang.summand
+             q.Preslang.formula)
+            .outcome
+        with
+        | Counting.Governor.Partial p -> Counting.Answer.partial_json ~at p
+        | Counting.Governor.Complete _ -> Alcotest.fail "fuel 1 completed")
+  in
+  let cases =
+    [
+      ( "certified splinter",
+        request_line ~id:1 ~at:[ ("n", 12345) ]
+          ~extra:[ ("certify", J.Bool true) ]
+          splinter,
+        query_run_body ~certify:true ~at:(zat [ ("n", 12345) ]) splinter );
+      ( "triangle",
+        request_line ~id:2 ~at:[ ("n", 7) ] triangle,
+        query_run_body ~certify:false ~at:(zat [ ("n", 7) ]) triangle );
+      ("parse error", request_line ~id:3 ~at:[] bad, parse_error_body);
+      ( "fuel partial",
+        request_line ~id:4 ~at:[ ("n", 40) ] ~extra:[ ("fuel", J.int 1) ]
+          rational,
+        partial_body );
+    ]
+  in
+  with_server ~handlers:1 (fun path ->
+      let c = Serve.Client.connect ~retries:100 path in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          List.iteri
+            (fun i (name, line, body) ->
+              let r = Serve.Client.request c line in
+              if i = 0 && String.length r < 60_000 then
+                Alcotest.failf "certified splinter response is only %d bytes"
+                  (String.length r);
+              Alcotest.(check string)
+                (name ^ " = cold rendering")
+                (Serve.Proto.with_id (J.int (i + 1)) body)
+                r)
+            cases))
+
 (* [sum { i : 1 <= i <= n } 2*i^1 + 3*i^2 + … + 21*i^20 + c*i^21]: the
    fingerprint's bounded hash stops before the last term, so c = 1 and
    c = 2 share a fingerprint, and a fingerprint-keyed cache answered
@@ -1240,6 +1308,8 @@ let suite =
         test_concurrent_handlers;
       Alcotest.test_case "value tier: new bindings equal cold runs" `Quick
         test_value_tier_bindings;
+      Alcotest.test_case "one frame buffer: large, small, error, partial"
+        `Quick test_frame_reuse;
       Alcotest.test_case "value tier: exact keys survive a fingerprint collision"
         `Quick test_value_tier_exact_keys;
       Alcotest.test_case "parse under the request's own wildcard counter"
